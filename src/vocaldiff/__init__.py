@@ -17,8 +17,8 @@ from .synthdata import (LatentPair, gen_pair, read_pair, target_transform,
                         write_pair)
 from .tensor import Tape, Tensor, backward
 from .training import run_training
-from .unet import (ModelParams, UNetConfig, count_params, encode_vocal,
-                   film, init_model_params, param_breakdown,
-                   sinusoidal_embedding, timestep_embedding, unet_forward)
+from .unet import (ModelParams, UNetConfig, encode_vocal, film,
+                   init_model_params, param_breakdown, sinusoidal_embedding,
+                   timestep_embedding, unet_forward)
 
 __version__ = "0.1.0"

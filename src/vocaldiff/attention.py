@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .schedule import Schedule, mix_weight
-from .tensor import (Tensor, _apply, add, concat, conv1d, matmul, mul,
-                     narrow, permute, reshape, transpose)
+from .tensor import (Tensor, _apply, add, conv1d, matmul, mul, permute,
+                     reshape, transpose)
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,19 @@ class AttentionConfig:
 ROPE_BASE = 10000.0
 
 
-@functools.lru_cache(maxsize=8)
-def _rope_tables(length: int, d: int):
-    """Rotation tables for the default 0..L-1 positions, cached because the
-    trig evaluation otherwise dominates small-L attention calls."""
+def _rope_rotations(positions: np.ndarray, d: int) -> np.ndarray:
+    """Unit complex rotation of pair k at each position, as complex128."""
     theta = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
-    angle = np.arange(length, dtype=np.float64)[:, None] * theta[None, :]
-    return np.cos(angle), np.sin(angle)
+    angle = positions[:, None] * theta[None, :]
+    return np.cos(angle) + 1j * np.sin(angle)
 
 
 @functools.lru_cache(maxsize=16)
-def _rope_complex_table(length: int, d: int, ctype):
-    cos64, sin64 = _rope_tables(length, d)
-    return (cos64 + 1j * sin64).astype(ctype)
+def _rope_table(length: int, d: int, ctype) -> np.ndarray:
+    """Rotations for the default 0..L-1 positions, cached because the trig
+    evaluation otherwise dominates small-L attention calls."""
+    positions = np.arange(length, dtype=np.float64)
+    return _rope_rotations(positions, d).astype(ctype)
 
 
 def rope_rotate(x: Tensor, positions=None) -> Tensor:
@@ -68,60 +68,34 @@ def rope_rotate(x: Tensor, positions=None) -> Tensor:
 
     Pair k of row i is rotated by positions[i] * base^(-2k/d); positions
     defaults to 0..L-1.  Leading axes batch independent sequences sharing the
-    same positions.  Norms are preserved per pair, and rotated dot products
-    depend only on position differences.  The rotation is linear, so the
-    backward pass is the same rotation by the negated angles.
+    same positions.  Each (even, odd) pair of a contiguous copy of x is
+    viewed as one complex number, so the rotation is a single complex
+    multiply.  Norms are preserved per pair, and rotated dot products depend
+    only on position differences.  The rotation is linear, so the backward
+    pass is the same multiply by the conjugate rotation.
     """
     if x.data.ndim < 2:
         raise DimensionError(f"rope_rotate expects (..., L, d), got {x.shape}")
     length, d = x.shape[-2], x.shape[-1]
     if d % 2 != 0:
         raise ConfigurationError(f"rope_rotate needs even d, got {d}")
+    xd = np.ascontiguousarray(x.data)
+    ctype = np.complex64 if xd.dtype == np.float32 else np.complex128
     if positions is None:
-        cos64, sin64 = _rope_tables(length, d)
+        w = _rope_table(length, d, ctype)
     else:
         positions = np.asarray(positions, dtype=np.float64)
         if positions.shape != (length,):
             raise DimensionError(
                 f"positions shape {positions.shape} != ({length},)"
             )
-        theta = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
-        angle = positions[:, None] * theta[None, :]
-        cos64, sin64 = np.cos(angle), np.sin(angle)
-
-    xd = x.data
-    if xd.flags.c_contiguous and xd.dtype in (np.float32, np.float64):
-        # each (even, odd) pair viewed as one complex number turns the
-        # rotation into a single vectorized multiply
-        ctype = np.complex64 if xd.dtype == np.float32 else np.complex128
-        if positions is None:
-            w = _rope_complex_table(length, d, ctype)
-        else:
-            w = (cos64 + 1j * sin64).astype(ctype)
-        out = (xd.view(ctype) * w).view(xd.dtype)
-        wc = np.conj(w)
-
-        def bwd(g):
-            gc = np.ascontiguousarray(g).view(ctype)
-            return ((gc * wc).view(xd.dtype),)
-
-        return _apply(out, (x,), bwd)
-
-    cos = cos64.astype(xd.dtype, copy=False)
-    sin = sin64.astype(xd.dtype, copy=False)
-    even = xd[..., 0::2]
-    odd = xd[..., 1::2]
-    out = np.empty_like(xd)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+        w = _rope_rotations(positions, d).astype(ctype)
+    out = (xd.view(ctype) * w).view(xd.dtype)
+    wc = np.conj(w)
 
     def bwd(g):
-        ge = g[..., 0::2]
-        go = g[..., 1::2]
-        dx = np.empty_like(g)
-        dx[..., 0::2] = ge * cos + go * sin
-        dx[..., 1::2] = go * cos - ge * sin
-        return (dx,)
+        gc = np.ascontiguousarray(g).view(ctype)
+        return ((gc * wc).view(xd.dtype),)
 
     return _apply(out, (x,), bwd)
 
@@ -129,45 +103,59 @@ def rope_rotate(x: Tensor, positions=None) -> Tensor:
 def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     """Scaled dot-product attention restricted to a sliding window.
 
-    Position i attends to positions j with i - ceil(w/2) < j <= i + floor(w/2),
-    truncated at the sequence edges.  Work and memory are O(L * window * d):
-    keys/values are gathered per window offset rather than materializing the
-    full L x L score matrix.
+    Inputs are (..., L, d) with identical shapes; leading axes batch
+    independent attention problems, one per head.  Position i attends to
+    positions j with i - ceil(w/2) < j <= i + floor(w/2), truncated at the
+    sequence edges.  Work is O(L * window * d) per problem and memory
+    O(L * (window + d)): keys/values are read through strided window views,
+    and the full L x L score matrix is never materialized.
     """
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
-    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+    if q.data.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(
-            f"local_attention needs equal (L, d) inputs, got "
+            f"local_attention needs equal (..., L, d) inputs, got "
             f"{q.shape}/{k.shape}/{v.shape}"
         )
-    length, d = q.shape
+    lead, (length, d) = q.shape[:-2], q.shape[-2:]
     first = -(math.ceil(window / 2) - 1)
-    offsets = np.arange(first, first + window)
-    idx = np.arange(length)[:, None] + offsets[None, :]
-    valid = (idx >= 0) & (idx < length)
-    idxc = np.clip(idx, 0, length - 1)
+    # slot j of position i reads row i + j of the keys/values zero-padded by
+    # -first rows in front, so windows are strided views of one padded copy;
+    # gathering them would copy every row window times
+    span = np.arange(length)[:, None] + np.arange(window)[None, :]
+    valid = (span >= -first) & (span < length - first)
     scale = 1.0 / math.sqrt(d)
-    qd, kd, vd = q.data, k.data, v.data
-    kg = kd[idxc]
-    vg = vd[idxc]
-    scores = np.einsum("ld,lwd->lw", qd, kg, optimize=True) * scale
+    qd = q.data
+    kv = np.zeros(lead + (length + window - 1, 2 * d), qd.dtype)
+    kv[..., -first:length - first, :d] = k.data
+    kv[..., -first:length - first, d:] = v.data
+    strides = kv.strides[:-1] + kv.strides[-2:]
+    kv_win = np.lib.stride_tricks.as_strided(
+        kv, lead + (length, window, 2 * d), strides, writeable=False)
+    kg, vg = kv_win[..., :d], kv_win[..., d:]
+    scores = np.matmul(kg, qd[..., None])[..., 0] * scale
     scores = np.where(valid, scores, -np.inf)
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    attn = e / e.sum(axis=1, keepdims=True)
-    out = np.einsum("lw,lwd->ld", attn, vg, optimize=True)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(attn[..., None, :], vg)[..., 0, :]
 
     def bwd(g):
-        dattn = np.einsum("ld,lwd->lw", g, vg, optimize=True)
-        dv = np.zeros_like(vd)
-        np.add.at(dv, idxc, attn[:, :, None] * g[:, None, :])
-        ds = attn * (dattn - np.sum(dattn * attn, axis=1, keepdims=True))
+        dattn = np.matmul(vg, g[..., None])[..., 0]
+        ds = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
         ds *= scale
-        dq = np.einsum("lw,lwd->ld", ds, kg, optimize=True)
-        dk = np.zeros_like(kd)
-        np.add.at(dk, idxc, ds[:, :, None] * qd[:, None, :])
-        return dq, dk, dv
+        dq = np.matmul(ds[..., None, :], kg)[..., 0, :]
+        # scatter the key and value gradients together into the padded
+        # layout, leading axes flattened so each (problem, row) owns one
+        # accumulator row; padding rows collect only zero weights
+        problems = math.prod(lead)
+        rows = np.arange(problems)[:, None, None] * kv.shape[-2] + span
+        contrib = np.concatenate((ds[..., None] * qd[..., None, :],
+                                  attn[..., None] * g[..., None, :]), axis=-1)
+        dkv = np.zeros((problems * kv.shape[-2], 2 * d), contrib.dtype)
+        np.add.at(dkv, rows.ravel(), contrib.reshape(-1, 2 * d))
+        dkv = dkv.reshape(kv.shape)[..., -first:length - first, :]
+        return dq, dkv[..., :d], dkv[..., d:]
 
     return _apply(out, (q, k, v), bwd)
 
@@ -176,16 +164,19 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          scale: float) -> Tensor:
     """softmax(scale * q @ k^T) @ v as one fused op.
 
-    Inputs are (..., L, d) with identical shapes; leading axes batch
-    independent attention problems, one per head.  Scores and attention
-    weights share a single (..., L, L) buffer so the call allocates two
-    large temporaries instead of five, which matters once L*L spills out
-    of cache.  The backward pass is the closed form of the whole chain.
+    Queries are (..., Lq, d); keys and values are equal-shaped (..., Lk, d)
+    with the same leading axes, which batch independent attention problems,
+    one per head.  Lq and Lk may differ, so the op serves both self- and
+    cross-attention.  Scores and attention weights share a single
+    (..., Lq, Lk) buffer so the call allocates two large temporaries
+    instead of five, which matters once Lq*Lk spills out of cache.  The
+    backward pass is the closed form of the whole chain.
     """
-    if q.shape != k.shape or q.shape != v.shape or q.data.ndim < 2:
+    if (q.data.ndim < 2 or k.shape != v.shape
+            or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]):
         raise DimensionError(
-            f"scaled_dot_attention needs equal (..., L, d) inputs, got "
-            f"{q.shape}/{k.shape}/{v.shape}"
+            f"scaled_dot_attention needs (..., Lq, d) queries and equal "
+            f"(..., Lk, d) keys/values, got {q.shape}/{k.shape}/{v.shape}"
         )
     qs = q.data * scale
     kd, vd = k.data, v.data
@@ -222,12 +213,9 @@ def global_attention(q: Tensor, k: Tensor, v: Tensor,
             f"global_attention needs equal (..., L, d) inputs, got "
             f"{q.shape}/{k.shape}/{v.shape}"
         )
-    d = q.shape[-1]
-    if d % 2 != 0:
-        raise ConfigurationError(f"global_attention needs even d, got {d}")
     qr = rope_rotate(q, positions)
     kr = rope_rotate(k, positions)
-    return scaled_dot_attention(qr, kr, v, 1.0 / math.sqrt(d))
+    return scaled_dot_attention(qr, kr, v, 1.0 / math.sqrt(q.shape[-1]))
 
 
 # parameter field names, in construction order
@@ -299,8 +287,16 @@ def init_attention_params(cfg: AttentionConfig, rng: np.random.Generator,
     )
 
 
-def _heads(x: Tensor, heads: int, head_dim: int):
-    return [narrow(x, 1, h * head_dim, head_dim) for h in range(heads)]
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """(L, heads * head_dim) -> (heads, L, head_dim)."""
+    length, width = x.shape
+    return permute(reshape(x, (length, heads, width // heads)), (1, 0, 2))
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(heads, L, head_dim) -> (L, heads * head_dim); undoes split_heads."""
+    heads, length, head_dim = x.shape
+    return reshape(permute(x, (1, 0, 2)), (length, heads * head_dim))
 
 
 def soft_align_attention(x: Tensor, t: int, cfg: AttentionConfig,
@@ -308,7 +304,7 @@ def soft_align_attention(x: Tensor, t: int, cfg: AttentionConfig,
     """Mix global and local attention by the signal level at timestep t.
 
     Per head, context = g * global + (1 - g) * local with g = sqrt(abar_t);
-    heads are concatenated, projected, and added back onto x residually.
+    heads are merged, projected, and added back onto x residually.
     Input and output are (model_dim, L).
     """
     if x.data.ndim != 2 or x.shape[0] != cfg.model_dim:
@@ -317,34 +313,23 @@ def soft_align_attention(x: Tensor, t: int, cfg: AttentionConfig,
             f"{cfg.model_dim}"
         )
     g, l = mix_weight(t, sched)
-
-    # (L, model_dim) layouts for per-head slicing
-    lq = transpose(conv1d(x, params.local_q_w, params.local_q_b, padding=1))
-    lk = transpose(conv1d(x, params.local_k_w, params.local_k_b, padding=1))
-    lv = transpose(conv1d(x, params.local_v_w, params.local_v_b, padding=1))
     xt = transpose(x)
-    gq = add(matmul(xt, params.global_q_w), params.global_q_b)
-    gk = add(matmul(xt, params.global_k_w), params.global_k_b)
-    gv = add(matmul(xt, params.global_v_w), params.global_v_b)
 
-    length = x.shape[1]
+    def local_proj(w, b):
+        return split_heads(transpose(conv1d(x, w, b, padding=1)), cfg.heads)
 
-    def split_heads(m):
-        # (L, heads*head_dim) -> (heads, L, head_dim)
-        return permute(reshape(m, (length, cfg.heads, cfg.head_dim)),
-                       (1, 0, 2))
+    def global_proj(w, b):
+        return split_heads(add(matmul(xt, w), b), cfg.heads)
 
-    global_ctx = global_attention(split_heads(gq), split_heads(gk),
-                                  split_heads(gv))
-    global_flat = reshape(permute(global_ctx, (1, 0, 2)),
-                          (length, cfg.model_dim))
+    global_ctx = global_attention(
+        global_proj(params.global_q_w, params.global_q_b),
+        global_proj(params.global_k_w, params.global_k_b),
+        global_proj(params.global_v_w, params.global_v_b))
+    local_ctx = local_attention(
+        local_proj(params.local_q_w, params.local_q_b),
+        local_proj(params.local_k_w, params.local_k_b),
+        local_proj(params.local_v_w, params.local_v_b), cfg.window)
 
-    local_ctxs = [local_attention(cq, ck, cv, cfg.window)
-                  for cq, ck, cv in zip(_heads(lq, cfg.heads, cfg.head_dim),
-                                        _heads(lk, cfg.heads, cfg.head_dim),
-                                        _heads(lv, cfg.heads, cfg.head_dim))]
-    local_flat = concat(local_ctxs, axis=1)
-
-    mixed = add(mul(global_flat, g), mul(local_flat, l))
+    mixed = merge_heads(add(mul(global_ctx, g), mul(local_ctx, l)))
     projected = add(matmul(mixed, params.out_w), params.out_b)
     return add(x, transpose(projected))

@@ -10,12 +10,12 @@ training step.  Tensor records carry no count; they run until exactly the
 from __future__ import annotations
 
 import dataclasses
-import os
 import struct
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, FormatError
+from .fileio import atomic_write
 from .tensor import Tensor
 from .unet import ModelParams, UNetConfig
 
@@ -90,10 +90,7 @@ def save_checkpoint(path, params: ModelParams, step: int,
         chunks.append(np.ascontiguousarray(tensor.data, dtype="<f4")
                       .tobytes())
     chunks.append(struct.pack("<Q", int(step)))
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(chunks))
-    os.replace(tmp, path)
+    atomic_write(path, b"".join(chunks))
 
 
 def load_checkpoint(path):

@@ -23,6 +23,7 @@ from .attention import (AttentionConfig, global_attention,
 from .checkpoint import load_checkpoint
 from .diffusion import TrainConfig, ddpm_sample
 from .errors import ConfigurationError, VocalDiffError
+from .fileio import atomic_write
 from .rng import substream
 from .schedule import build_cosine_schedule, forward_diffuse
 from .synthdata import LatentPair, gen_pair, read_pair, write_pair
@@ -30,13 +31,6 @@ from .tensor import Tensor
 from .training import run_training
 from .unet import (encode_vocal, init_model_params, param_breakdown,
                    unet_forward, UNetConfig)
-
-
-def _write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _load_pairs(data_dir, limit=None):
@@ -123,7 +117,7 @@ def cmd_sample(args) -> int:
     write_pair(LatentPair(z_v=vocal.z_v, z_a=z_a, seed=args.seed,
                           length=vocal.length), args.out)
     rows = "".join(f"{t},{m:.8g},{s:.8g}\n" for t, m, s in trace.records)
-    _write_text(args.trace, "t,mean_v,std_v\n" + rows)
+    atomic_write(args.trace, ("t,mean_v,std_v\n" + rows).encode())
     print(f"sampled {z_a.shape} latent -> {args.out} "
           f"({len(trace)} steps, guidance {args.guidance})")
     return 0
@@ -153,25 +147,27 @@ def cmd_bench(args) -> int:
     aparams = init_attention_params(acfg, rng)
     sched = build_cosine_schedule(800)
     mid_t = 400
-    # one case per (kernel, length): global and local branches run all heads,
-    # global as a single batched call and local as the per-head loop
+    # one case per (kernel, length): global and local branches each run all
+    # heads as a single batched call
     cases = {}
     for length in lengths:
         q, k, v = (Tensor(rng.standard_normal(
             (args.heads, length, args.head_dim)).astype(np.float32))
             for _ in range(3))
-        heads = [tuple(Tensor(a.data[h]) for a in (q, k, v))
-                 for h in range(args.heads)]
         x = Tensor(rng.standard_normal((acfg.model_dim, length))
                    .astype(np.float32))
         cases[("local", length)] = (
-            lambda hs=heads: [local_attention(hq, hk, hv, args.window)
-                              for hq, hk, hv in hs])
+            lambda q=q, k=k, v=v: local_attention(q, k, v, args.window))
         cases[("global", length)] = (
             lambda q=q, k=k, v=v: global_attention(q, k, v))
         cases[("soft_align", length)] = (
             lambda x=x: soft_align_attention(x, mid_t, acfg, aparams, sched))
 
+    # warm every case up before timing any: the first multi-threaded BLAS
+    # calls of a process, made right after a large free, can stall for about
+    # a second, which would otherwise land on the first global length alone
+    for fn in cases.values():
+        fn()
     # kernel-major order keeps each exponent fit's three measurements within
     # a fraction of a second of each other, so drift in machine speed over
     # the run cannot tilt an individual fit
@@ -201,7 +197,7 @@ def cmd_bench(args) -> int:
         csv_lines.append(f"exponent_global,,{g_exp:.4f}")
         csv_lines.append(f"exponent_local,,{l_exp:.4f}")
         csv_lines.append(f"exponent_soft_align,,{s_exp:.4f}")
-        _write_text(args.csv, "\n".join(csv_lines) + "\n")
+        atomic_write(args.csv, ("\n".join(csv_lines) + "\n").encode())
     return 0
 
 
@@ -224,7 +220,7 @@ def cmd_analyze(args) -> int:
             values.append(v.data.ravel())
         stds.append(float(np.concatenate(values).std()))
     rows = "".join(f"{t},{s:.8g}\n" for t, s in enumerate(stds, start=1))
-    _write_text(args.csv, "t,std_v\n" + rows)
+    atomic_write(args.csv, ("t,std_v\n" + rows).encode())
     decile = max(timesteps // 10, 1)
     lo = float(np.mean(stds[:decile]))
     hi = float(np.mean(stds[-decile:]))

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, DimensionError
+from .errors import (ConfigurationError, ContractError, DimensionError,
+                     VocalDiffError)
 from .optim import AdamWState, adamw_step, clip_grad_norm
 from .schedule import Schedule, _check_t, forward_diffuse, snr_weight
 from .tensor import Tape, Tensor, backward, mul, sub
@@ -122,7 +123,10 @@ def train_step(batch, params: ModelParams, opt_state: AdamWState,
     latent, drop the vocal conditioning with probability cond_dropout, and
     regress the v prediction under the SNR-weighted loss.  Returns
     (mean loss, opt_state); params are updated in place.  lr overrides
-    cfg.lr when the caller anneals it.
+    cfg.lr when the caller anneals it.  A non-finite loss or pre-clip
+    gradient norm raises VocalDiffError naming the step and the first
+    parameter with a non-finite gradient; params and moments are then
+    left untouched.
     """
     if not batch:
         raise ContractError("train_step needs a non-empty batch")
@@ -160,12 +164,19 @@ def train_step(batch, params: ModelParams, opt_state: AdamWState,
         else:
             # branch unused this step (e.g. null vector with no dropout)
             grads[name] = Tensor(np.zeros_like(p.data))
-    if cfg.max_grad_norm > 0:
-        clip_grad_norm(grads, cfg.max_grad_norm)
+    loss_value = loss.item()
+    norm = (clip_grad_norm(grads, cfg.max_grad_norm)
+            if cfg.max_grad_norm > 0 else 0.0)
+    if not np.isfinite((loss_value, norm)).all():
+        bad = next((name for name, g in grads.items()
+                    if not np.isfinite(g.data).all()), None)
+        raise VocalDiffError(
+            f"non-finite training step {opt_state.step + 1}: loss {loss_value}"
+            f", gradient norm {norm}, first non-finite gradient {bad}")
     decay_skip = {name for name, p in params.items() if p.data.ndim < 2}
     adamw_step(params.tensors, grads, opt_state,
                lr=cfg.lr if lr is None else lr, decay_skip=decay_skip)
-    return float(loss.item()), opt_state
+    return loss_value, opt_state
 
 
 @dataclass

@@ -62,7 +62,8 @@ def clip_grad_norm(grads: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is <= max_norm.
 
     Returns the pre-clip norm.  The accumulation runs in float64 so the
-    squared sum of many float32 gradients does not lose low bits.
+    squared sum of many float32 gradients does not lose low bits.  A
+    non-finite norm leaves the gradients unscaled for the caller to report.
     """
     if max_norm <= 0:
         raise ContractError(f"max_norm must be positive, got {max_norm}")
@@ -70,7 +71,7 @@ def clip_grad_norm(grads: dict[str, Tensor], max_norm: float) -> float:
     for g in grads.values():
         total += float(np.sum(g.data.astype(np.float64) ** 2))
     norm = math.sqrt(total)
-    if norm > max_norm:
+    if max_norm < norm < math.inf:
         scale = max_norm / norm
         for g in grads.values():
             g.data *= g.data.dtype.type(scale)

@@ -10,13 +10,13 @@ seed, so a small model can actually learn the mapping.
 from __future__ import annotations
 
 import functools
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
+from .fileio import atomic_write
 from .rng import substream
 
 CHANNELS = 64
@@ -97,10 +97,7 @@ def write_pair(pair: LatentPair, path) -> None:
                           pair.seed & 0xFFFFFFFFFFFFFFFF)
     body = (pair.z_v.astype("<f4").tobytes()
             + pair.z_a.astype("<f4").tobytes())
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header + body)
-    os.replace(tmp, path)
+    atomic_write(path, header + body)
 
 
 def read_pair(path) -> LatentPair:

@@ -16,13 +16,15 @@ from typing import Optional
 import numpy as np
 
 from .attention import (AttentionConfig, AttentionParams,
-                         init_attention_params, soft_align_attention)
+                         init_attention_params, merge_heads,
+                         scaled_dot_attention, soft_align_attention,
+                         split_heads)
 from .errors import ConfigurationError, ContractError, DimensionError
 from .rng import substream
 from .schedule import Schedule
 from .tensor import (Tensor, add, concat, conv1d, conv_transpose1d,
-                     group_norm, matmul, mul, narrow, reshape, silu, softmax,
-                     sub, tensor_mean, transpose)
+                     group_norm, matmul, mul, narrow, reshape, silu, sub,
+                     tensor_mean, transpose)
 
 
 @dataclass(frozen=True)
@@ -96,11 +98,6 @@ class ModelParams:
 
     def items(self):
         return self.tensors.items()
-
-
-def count_params(params) -> int:
-    tensors = params.tensors if isinstance(params, ModelParams) else params
-    return sum(t.size for t in tensors.values())
 
 
 def param_breakdown(params) -> dict:
@@ -190,23 +187,15 @@ def encode_vocal(z_v, params: ModelParams):
 def cross_attention(x: Tensor, tokens: Tensor, params: ModelParams,
                     prefix: str) -> Tensor:
     """Multi-head attention from sequence x (C, L) onto token rows (Lt, D)."""
-    cfg = params.config
+    heads = params.config.heads
     p = params.tensors
-    heads = cfg.heads
     q = add(matmul(transpose(x), p[prefix + "q.w"]), p[prefix + "q.b"])
     k = add(matmul(tokens, p[prefix + "k.w"]), p[prefix + "k.b"])
     v = add(matmul(tokens, p[prefix + "v.w"]), p[prefix + "v.b"])
-    m = q.shape[1]
-    hd = m // heads
-    scale = 1.0 / math.sqrt(hd)
-    outs = []
-    for h in range(heads):
-        qh = narrow(q, 1, h * hd, hd)
-        kh = narrow(k, 1, h * hd, hd)
-        vh = narrow(v, 1, h * hd, hd)
-        attn = softmax(mul(matmul(qh, transpose(kh)), scale))
-        outs.append(matmul(attn, vh))
-    o = add(matmul(concat(outs, axis=1), p[prefix + "out.w"]),
+    scale = 1.0 / math.sqrt(q.shape[1] // heads)
+    ctx = scaled_dot_attention(split_heads(q, heads), split_heads(k, heads),
+                               split_heads(v, heads), scale)
+    o = add(matmul(merge_heads(ctx), p[prefix + "out.w"]),
             p[prefix + "out.b"])
     return transpose(o)
 

@@ -2,7 +2,8 @@
 
 The local kernel is checked against full attention with -inf masking outside
 the window, computed directly in float64.  Rotary encoding is checked against
-an independent complex-multiplication formulation.
+an independent complex-multiplication formulation, and cross-attention
+against a per-head softmax loop.
 """
 
 import math
@@ -10,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from vocaldiff import (AttentionConfig, AttentionParams, build_cosine_schedule,
-                       global_attention, init_attention_params,
+from vocaldiff import (AttentionConfig, AttentionParams, UNetConfig,
+                       build_cosine_schedule, global_attention,
+                       init_attention_params, init_model_params,
                        local_attention, mix_weight, rope_rotate,
                        soft_align_attention)
 from vocaldiff.attention import scaled_dot_attention
@@ -19,6 +21,7 @@ from vocaldiff.errors import ConfigurationError, DimensionError
 from vocaldiff.gradcheck import check_gradients
 from vocaldiff.rng import substream
 from vocaldiff.tensor import Tensor, tensor_sum
+from vocaldiff.unet import cross_attention
 
 
 def window_mask(length: int, window: int) -> np.ndarray:
@@ -83,6 +86,24 @@ def test_local_attention_validation():
         local_attention(t, t, t, 0)
     with pytest.raises(DimensionError):
         local_attention(t, t, Tensor(np.zeros((5, 4))), 4)
+    with pytest.raises(DimensionError):
+        local_attention(t, t, Tensor(np.zeros((2, 4, 4))), 4)
+    with pytest.raises(DimensionError):
+        one_d = Tensor(np.zeros(4))
+        local_attention(one_d, one_d, one_d, 4)
+
+
+def test_local_attention_batched_matches_loop():
+    rng = np.random.default_rng(28)
+    for shape, window in (((3, 11, 4), 4), ((2, 3, 6, 2), 5),
+                          ((1, 1, 4), 16)):
+        q, k, v = (rng.standard_normal(shape) for _ in range(3))
+        batched = local_attention(Tensor(q), Tensor(k), Tensor(v),
+                                  window).data
+        for h in np.ndindex(*shape[:-2]):
+            single = local_attention(Tensor(q[h]), Tensor(k[h]),
+                                     Tensor(v[h]), window).data
+            assert np.max(np.abs(batched[h] - single)) <= 1e-12, (shape, h)
 
 
 def test_rope_matches_complex_rotation():
@@ -138,14 +159,19 @@ def test_global_zero_positions_is_plain_attention():
 
 def test_scaled_dot_attention_matches_composed_softmax():
     rng = np.random.default_rng(20)
-    q, k, v = (rng.standard_normal((7, 6)) for _ in range(3))
     scale = 1.0 / math.sqrt(6)
-    out = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), scale).data
-    s = (q @ k.T) * scale
-    s -= s.max(axis=1, keepdims=True)
-    e = np.exp(s)
-    want = (e / e.sum(axis=1, keepdims=True)) @ v
-    assert np.max(np.abs(out - want)) < 1e-12
+    # equal lengths (self-attention), then fewer and more keys than queries
+    for lq, lk in ((7, 7), (7, 3), (4, 9)):
+        q = rng.standard_normal((lq, 6))
+        k, v = (rng.standard_normal((lk, 6)) for _ in range(2))
+        out = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v),
+                                   scale).data
+        s = (q @ k.T) * scale
+        s -= s.max(axis=1, keepdims=True)
+        e = np.exp(s)
+        want = (e / e.sum(axis=1, keepdims=True)) @ v
+        assert out.shape == (lq, 6)
+        assert np.max(np.abs(out - want)) < 1e-12, (lq, lk)
 
 
 def test_scaled_dot_attention_batched_matches_loop():
@@ -165,6 +191,16 @@ def test_scaled_dot_attention_validation_and_dtype():
     with pytest.raises(DimensionError):
         one_d = Tensor(np.zeros(4))
         scaled_dot_attention(one_d, one_d, one_d, 1.0)
+    # keys may be longer or shorter than queries, but leading axes and the
+    # feature dim must agree
+    mismatched = (
+        (np.zeros((2, 3, 4)), np.zeros((3, 5, 4))),   # leading dims
+        (np.zeros((3, 4)), np.zeros((2, 5, 4))),      # rank
+        (np.zeros((3, 4)), np.zeros((5, 6))),         # feature dim
+    )
+    for q, kv in mismatched:
+        with pytest.raises(DimensionError):
+            scaled_dot_attention(Tensor(q), Tensor(kv), Tensor(kv), 1.0)
     rng = np.random.default_rng(22)
     q, k, v = (Tensor(rng.standard_normal((3, 4)).astype(np.float32))
                for _ in range(3))
@@ -313,17 +349,48 @@ def test_attention_params_map_round_trip(small_params):
     assert rebuilt.out_b is small_params.out_b
 
 
+# ------------------------------------------------------ cross-attention
+
+def test_cross_attention_matches_per_head_oracle():
+    params = init_model_params(UNetConfig.for_width(1 / 16), seed=4,
+                               dtype=np.float64)
+    heads = params.config.heads
+    p = {name[len("mid.cross."):]: t.data for name, t in params.items()
+         if name.startswith("mid.cross.")}
+    rng = np.random.default_rng(29)
+    c_mid, d = params.config.channels[-1], params.config.time_embed_dim
+    x = rng.standard_normal((c_mid, 12))
+    tokens = rng.standard_normal((3, d))
+    out = cross_attention(Tensor(x), Tensor(tokens), params,
+                          "mid.cross.").data
+
+    q = x.T @ p["q.w"] + p["q.b"]
+    k = tokens @ p["k.w"] + p["k.b"]
+    v = tokens @ p["v.w"] + p["v.b"]
+    hd = q.shape[1] // heads
+    ctx = []
+    for h in range(heads):
+        cols = slice(h * hd, (h + 1) * hd)
+        s = q[:, cols] @ k[:, cols].T / math.sqrt(hd)
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        ctx.append((e / e.sum(axis=1, keepdims=True)) @ v[:, cols])
+    want = (np.concatenate(ctx, axis=1) @ p["out.w"] + p["out.b"]).T
+    assert out.shape == (c_mid, 12)
+    assert np.max(np.abs(out - want)) <= 1e-12
+
+
 # ------------------------------------------------------------ gradients
 
 def test_grad_local_attention():
     rng = np.random.default_rng(15)
-    q, k, v = (Tensor(rng.standard_normal((9, 4)), requires_grad=True)
-               for _ in range(3))
-    m = Tensor(rng.standard_normal((9, 4)))
-    errs = check_gradients(
-        lambda: tensor_sum(local_attention(q, k, v, 5) * m),
-        {"q": q, "k": k, "v": v})
-    assert max(errs.values()) < 1e-4
+    for shape in ((9, 4), (2, 9, 4)):
+        q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                   for _ in range(3))
+        m = Tensor(rng.standard_normal(shape))
+        errs = check_gradients(
+            lambda: tensor_sum(local_attention(q, k, v, 5) * m),
+            {"q": q, "k": k, "v": v})
+        assert max(errs.values()) < 1e-4, shape
 
 
 def test_grad_global_attention():
@@ -339,13 +406,15 @@ def test_grad_global_attention():
 
 def test_grad_scaled_dot_attention_batched():
     rng = np.random.default_rng(26)
-    q, k, v = (Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
-               for _ in range(3))
-    m = Tensor(rng.standard_normal((2, 5, 4)))
-    errs = check_gradients(
-        lambda: tensor_sum(scaled_dot_attention(q, k, v, 0.37) * m),
-        {"q": q, "k": k, "v": v})
-    assert max(errs.values()) < 1e-4
+    for lq, lk in ((5, 5), (5, 3)):
+        q = Tensor(rng.standard_normal((2, lq, 4)), requires_grad=True)
+        k, v = (Tensor(rng.standard_normal((2, lk, 4)), requires_grad=True)
+                for _ in range(2))
+        m = Tensor(rng.standard_normal((2, lq, 4)))
+        errs = check_gradients(
+            lambda: tensor_sum(scaled_dot_attention(q, k, v, 0.37) * m),
+            {"q": q, "k": k, "v": v})
+        assert max(errs.values()) < 1e-4, (lq, lk)
 
 
 def test_grad_global_attention_batched():

@@ -7,7 +7,8 @@ from vocaldiff import (AdamWState, Schedule, TrainConfig, UNetConfig,
                        build_cosine_schedule, cfg_combine, ddpm_sample,
                        gen_pair, init_model_params, loss_snr, recover_eps,
                        recover_x0, train_step, unet_forward, v_target)
-from vocaldiff.errors import ConfigurationError, ContractError, DimensionError
+from vocaldiff.errors import (ConfigurationError, ContractError,
+                              DimensionError, VocalDiffError)
 from vocaldiff.tensor import Tensor
 
 
@@ -211,6 +212,21 @@ def test_train_step_input_validation():
     with pytest.raises(ConfigurationError):
         train_step(pairs[:2], params, state, cfg,
                    build_cosine_schedule(80), rng)
+
+
+def test_train_step_stops_on_a_non_finite_step():
+    cfg, params, sched, pairs = tiny_setup()
+    state = AdamWState(params.tensors)
+    params["stem.w"].data[0, 0, 0] = np.nan
+    before = {name: t.data.copy() for name, t in params.items()}
+    rng = np.random.default_rng(5)
+    with pytest.raises(VocalDiffError, match=r"step 1:.*gradient stem\.w"):
+        train_step(pairs[:2], params, state, cfg, sched, rng)
+    for name, t in params.items():
+        assert np.array_equal(t.data, before[name], equal_nan=True), name
+    assert state.step == 0
+    assert not any(m.any() for m in state.m.values())
+    assert not any(v.any() for v in state.v.values())
 
 
 # ------------------------------------------------------------- sampler

@@ -70,6 +70,14 @@ def test_round_trip_is_bitwise(tmp_path):
     assert not list(tmp_path.glob("*.tmp.*"))  # atomic write left no temp
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_pair(gen_pair(0, 16), taken)
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
 def write_raw(tmp_path, blob, name="bad.vlat"):
     path = tmp_path / name
     path.write_bytes(blob)

@@ -5,6 +5,7 @@ import pytest
 
 from vocaldiff import (TrainConfig, UNetConfig, build_cosine_schedule,
                        gen_pair, init_model_params, load_checkpoint)
+from vocaldiff.errors import VocalDiffError
 from vocaldiff.training import (TrainResult, run_training, split_pairs,
                                 validation_loss)
 
@@ -100,3 +101,15 @@ def test_final_checkpoint_reflects_the_last_step(tmp_path, corpus):
     run_training(corpus, cfg, small_model(), ckpt_path=ckpt)
     _, _, step = load_checkpoint(ckpt)
     assert step == 2
+
+
+def test_non_finite_step_stops_training(corpus):
+    cfg = TrainConfig(batch=2, steps=3, timesteps=50, lr=1e-3,
+                      validation_fraction=0.0, seed=0)
+    params = small_model()
+    params["stem.w"].data[1, 2, 0] = np.nan
+    before = {name: t.data.copy() for name, t in params.items()}
+    with pytest.raises(VocalDiffError, match=r"step 1:.*gradient stem\.w"):
+        run_training(corpus, cfg, params)
+    for name, t in params.items():
+        assert np.array_equal(t.data, before[name], equal_nan=True), name

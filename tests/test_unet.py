@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from vocaldiff import (ModelParams, UNetConfig, count_params, encode_vocal,
-                       film, init_model_params, param_breakdown,
+from vocaldiff import (ModelParams, UNetConfig, encode_vocal, film,
+                       init_model_params, param_breakdown,
                        sinusoidal_embedding, timestep_embedding, unet_forward)
 from vocaldiff.errors import ConfigurationError, ContractError, DimensionError
 from vocaldiff.gradcheck import check_gradients
@@ -115,19 +115,20 @@ def test_every_parameter_reaches_the_tape(tiny_cfg, sched):
 
 # ------------------------------------------------------- param helpers
 
-def test_count_params():
-    assert count_params({}) == 0
-    assert count_params({"w": Tensor(np.zeros((2, 3)))}) == 6
+def test_count_params(tiny_cfg):
+    assert ModelParams(tiny_cfg, {}).param_count == 0
+    params = ModelParams(tiny_cfg, {"w": Tensor(np.zeros((2, 3)))})
+    assert params.param_count == 6
 
 
 def test_param_breakdown_sums_to_total(live_params):
     breakdown = param_breakdown(live_params)
-    assert sum(breakdown.values()) == count_params(live_params)
+    assert sum(breakdown.values()) == live_params.param_count
     assert "mid" in breakdown and "head" in breakdown
 
 
 def test_default_width_lands_in_target_band():
-    n = count_params(init_model_params(UNetConfig(), seed=0))
+    n = init_model_params(UNetConfig(), seed=0).param_count
     assert 8_000_000 <= n <= 25_000_000
 
 
