@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError
 from .schedule import Schedule, mix_weight
 from .tensor import (Tensor, _apply, add, conv1d, matmul, mul, permute,
-                     reshape, transpose)
+                     reshape, softmax_rows, softmax_rows_grad, transpose)
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,11 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
         kv, lead + (length, window, 2 * d), strides, writeable=False)
     kg, vg = kv_win[..., :d], kv_win[..., d:]
     scores = np.matmul(kg, qd[..., None])[..., 0] * scale
-    scores = np.where(valid, scores, -np.inf)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = softmax_rows(np.where(valid, scores, -np.inf))
     out = np.matmul(attn[..., None, :], vg)[..., 0, :]
 
     def bwd(g):
-        dattn = np.matmul(vg, g[..., None])[..., 0]
-        ds = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
+        ds = softmax_rows_grad(attn, np.matmul(vg, g[..., None])[..., 0])
         ds *= scale
         dq = np.matmul(ds[..., None, :], kg)[..., 0, :]
         # scatter the key and value gradients together into the padded
@@ -167,10 +163,9 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     Queries are (..., Lq, d); keys and values are equal-shaped (..., Lk, d)
     with the same leading axes, which batch independent attention problems,
     one per head.  Lq and Lk may differ, so the op serves both self- and
-    cross-attention.  Scores and attention weights share a single
-    (..., Lq, Lk) buffer so the call allocates two large temporaries
-    instead of five, which matters once Lq*Lk spills out of cache.  The
-    backward pass is the closed form of the whole chain.
+    cross-attention.  ``softmax_rows`` works in place, so scores and weights
+    share one (..., Lq, Lk) buffer; the backward pass is the closed form of
+    the whole chain, with ``softmax_rows_grad`` for the softmax step.
     """
     if (q.data.ndim < 2 or k.shape != v.shape
             or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]):
@@ -180,19 +175,12 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
         )
     qs = q.data * scale
     kd, vd = k.data, v.data
-    scores = np.matmul(qs, kd.swapaxes(-1, -2))
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    denom = np.sum(scores, axis=-1, keepdims=True, dtype=np.float64)
-    scores /= denom.astype(scores.dtype)
-    att = scores
+    att = softmax_rows(np.matmul(qs, kd.swapaxes(-1, -2)))
     out = np.matmul(att, vd)
 
     def bwd(g):
         dv = np.matmul(att.swapaxes(-1, -2), g)
-        datt = np.matmul(g, vd.swapaxes(-1, -2))
-        datt -= np.sum(datt * att, axis=-1, keepdims=True)
-        datt *= att
+        datt = softmax_rows_grad(att, np.matmul(g, vd.swapaxes(-1, -2)))
         dq = np.matmul(datt, kd) * scale
         dk = np.matmul(datt.swapaxes(-1, -2), qs)
         return dq, dk, dv

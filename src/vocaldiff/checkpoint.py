@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, FormatError
 from .fileio import atomic_write
 from .tensor import Tensor
-from .unet import ModelParams, UNetConfig
+from .unet import ModelParams, UNetConfig, init_model_params
 
 _MAGIC = b"VDIF"
 _VERSION = 1
@@ -64,8 +64,9 @@ def unet_config_from(cfg: dict) -> UNetConfig:
             heads=int(cfg["heads"]),
             window=int(cfg["window"]),
         )
-    except KeyError as exc:
-        raise ConfigurationError(f"checkpoint config missing {exc}") from exc
+    except (KeyError, ValueError) as exc:
+        raise ConfigurationError(
+            f"checkpoint config missing or malformed: {exc}") from exc
 
 
 def save_checkpoint(path, params: ModelParams, step: int,
@@ -94,7 +95,12 @@ def save_checkpoint(path, params: ModelParams, step: int,
 
 
 def load_checkpoint(path):
-    """Read back (params, config map, step); rejects malformed files."""
+    """Read back (params, config map, step); rejects malformed files.
+
+    The tensor names and shapes must match the model that the stored config
+    builds: the first missing, unexpected or mis-shaped tensor raises
+    FormatError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     pos = 0
@@ -122,6 +128,10 @@ def load_checkpoint(path):
         cfg_map = parse_config_text(take(blob_len, "config").decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: config is not UTF-8: {exc}") from exc
+    config = unet_config_from(cfg_map)
+    # built before any tensor is read, so the schema model's arrays are
+    # freed before the loaded ones exist
+    schema = {name: t.shape for name, t in init_model_params(config).items()}
 
     tensors = {}
     while len(raw) - pos > 8:
@@ -149,5 +159,12 @@ def load_checkpoint(path):
             f"found {len(raw) - pos} bytes"
         )
     (step,) = struct.unpack("<Q", take(8, "step"))
-    params = ModelParams(unet_config_from(cfg_map), tensors)
-    return params, cfg_map, step
+    for name in (*schema, *tensors):
+        want = schema.get(name)
+        got = tensors[name].shape if name in tensors else None
+        if got != want:
+            raise FormatError(f"{path}: tensor {name!r} " + (
+                "is missing" if got is None
+                else "is not part of the configured model" if want is None
+                else f"has shape {got}, the configured model needs {want}"))
+    return ModelParams(config, tensors), cfg_map, step

@@ -46,6 +46,9 @@ class TrainConfig:
             )
         if self.batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
+        if not 0.0 <= self.lr < np.inf:
+            raise ConfigurationError(
+                f"lr must be finite and >= 0, got {self.lr}")
 
 
 def _as_array(x) -> np.ndarray:
@@ -164,6 +167,9 @@ def train_step(batch, params: ModelParams, opt_state: AdamWState,
         else:
             # branch unused this step (e.g. null vector with no dropout)
             grads[name] = Tensor(np.zeros_like(p.data))
+        # drop the finished tape, and every activation it saved, now rather
+        # than when the next step's forward pass registers p again
+        p._tape = p.node_id = None
     loss_value = loss.item()
     norm = (clip_grad_norm(grads, cfg.max_grad_norm)
             if cfg.max_grad_norm > 0 else 0.0)

@@ -416,12 +416,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply(ad @ bd, (a, b), bwd)
 
 
+def _columns(xp: np.ndarray, k: int, stride: int, l_out: int) -> np.ndarray:
+    """(C*K, L_out) im2col matrix of a padded (C, L) input: row c*K + j,
+    column i holds xp[c, i*stride + j]."""
+    return np.lib.stride_tricks.as_strided(
+        xp, (len(xp), k, l_out), xp.strides + (xp.strides[1] * stride,),
+        writeable=False).reshape(-1, l_out)
+
+
+def _overlap_add(cols: np.ndarray, k: int, stride: int, length: int):
+    """Adjoint of ``_columns``: add each entry of a (C*K, L_out) matrix back
+    onto the (C, length) position it was read from."""
+    c_k, l_out = cols.shape
+    out = np.zeros((c_k // k, length), cols.dtype)
+    for j in range(k):
+        out[:, j:j + stride * l_out:stride] += cols[j::k]
+    return out
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
            padding: int = 0) -> Tensor:
     """Cross-correlation over (C_in, L) with weight (C_out, C_in, K).
 
-    L_out = floor((L + 2*padding - K) / stride) + 1.  Gradients are defined
-    for x, w and b.
+    L_out = floor((L + 2*padding - K) / stride) + 1.  One GEMM on the
+    ``_columns`` of the zero-padded input; backward, two GEMMs give dw and,
+    through ``_overlap_add``, dx.
     """
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise DimensionError(
@@ -441,24 +460,16 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     if b.shape != (c_out,):
         raise DimensionError(f"conv1d bias must be ({c_out},), got {b.shape}")
     l_out = (length + 2 * padding - k) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (padding, padding))) if padding else x.data
-    out = np.empty((c_out, l_out), dtype=x.dtype)
-    out[:] = b.data[:, None]
-    hi = stride * (l_out - 1) + 1
-    for kk in range(k):
-        out += w.data[:, :, kk] @ xp[:, kk:kk + hi:stride]
-    wd, xpd = w.data, xp
+    xp = np.zeros((c_in, length + 2 * padding), x.dtype)
+    xp[:, padding:padding + length] = x.data
+    w2 = w.data.reshape(c_out, c_in * k)
+    out = w2 @ _columns(xp, k, stride, l_out) + b.data[:, None]
 
     def bwd(g):
-        db = g.sum(axis=1)
-        dw = np.empty_like(wd)
-        dxp = np.zeros_like(xpd)
-        for kk in range(k):
-            seg = xpd[:, kk:kk + hi:stride]
-            dw[:, :, kk] = g @ seg.T
-            dxp[:, kk:kk + hi:stride] += wd[:, :, kk].T @ g
-        dx = dxp[:, padding:padding + length] if padding else dxp
-        return np.ascontiguousarray(dx), dw, db
+        dxp = _overlap_add(w2.T @ g, k, stride, xp.shape[1])
+        dw = g @ _columns(xp, k, stride, l_out).T
+        return (np.ascontiguousarray(dxp[:, padding:padding + length]),
+                dw.reshape(c_out, c_in, k), g.sum(axis=1))
 
     return _apply(out, (x, w, b), bwd)
 
@@ -467,7 +478,9 @@ def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
                      padding: int = 0) -> Tensor:
     """Transposed convolution; weight is (C_in, C_out, K).
 
-    L_out = (L - 1) * stride - 2 * padding + K.
+    L_out = (L - 1) * stride - 2 * padding + K.  The adjoint of ``conv1d``
+    under the same weight, stride and padding: a GEMM then ``_overlap_add``
+    forward, two GEMMs on the ``_columns`` of the padded gradient backward.
     """
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise DimensionError(
@@ -486,44 +499,42 @@ def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
         raise DimensionError(
             f"conv_transpose1d output length {l_out} < 1 for input {x.shape}"
         )
-    full = np.zeros((c_out, (length - 1) * stride + k), dtype=x.dtype)
-    hi = stride * (length - 1) + 1
-    for kk in range(k):
-        full[:, kk:kk + hi:stride] += w.data[:, :, kk].T @ x.data
-    out = full[:, padding:padding + l_out] + b.data[:, None]
-    wd, xd = w.data, x.data
+    full = (length - 1) * stride + k
+    w2 = w.data.reshape(c_in, c_out * k)
+    xd = x.data
+    out = (_overlap_add(w2.T @ xd, k, stride, full)[:, padding:padding + l_out]
+           + b.data[:, None])
 
     def bwd(g):
-        db = g.sum(axis=1)
-        gfull = np.zeros((c_out, (length - 1) * stride + k), dtype=g.dtype)
-        gfull[:, padding:padding + l_out] = g
-        dx = np.zeros_like(xd)
-        dw = np.empty_like(wd)
-        for kk in range(k):
-            seg = gfull[:, kk:kk + hi:stride]
-            dx += wd[:, :, kk] @ seg
-            dw[:, :, kk] = xd @ seg.T
-        return dx, dw, db
+        gp = np.zeros((c_out, full), g.dtype)
+        gp[:, padding:padding + l_out] = g
+        cols = _columns(gp, k, stride, length)
+        return w2 @ cols, (xd @ cols.T).reshape(c_in, c_out, k), g.sum(1)
 
-    return _apply(np.ascontiguousarray(out), (x, w, b), bwd)
+    return _apply(out, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------
 # softmax / normalization
 # ---------------------------------------------------------------------------
 
+def softmax_rows(s: np.ndarray) -> np.ndarray:
+    """In-place softmax over the last axis: max shift, exp, float64 sums."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= np.sum(s, axis=-1, keepdims=True, dtype=np.float64).astype(s.dtype)
+    return s
+
+
+def softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Softmax input gradient from its output y and output gradient g."""
+    return y * (g - np.sum(g * y, axis=-1, keepdims=True))
+
+
 def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    denom = np.sum(e, axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-    y = e / denom
-
-    def bwd(g):
-        dot = np.sum(g * y, axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _apply(y, (x,), bwd)
+    """Softmax over the last axis; see ``softmax_rows``."""
+    y = softmax_rows(x.data.copy())
+    return _apply(y, (x,), lambda g: (softmax_rows_grad(y, g),))
 
 
 def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,

@@ -1,5 +1,6 @@
 """Checkpoint serialization: exact round trips and corruption diagnostics."""
 
+import re
 import struct
 
 import numpy as np
@@ -93,6 +94,27 @@ def test_unsupported_version_is_diagnosed(tmp_path, small_params):
         load_checkpoint(path)
 
 
+def test_tensors_are_checked_against_the_configured_model(tmp_path,
+                                                         small_params):
+    path = tmp_path / "model.vdif"
+    good = dict(small_params.tensors)
+    stem = good["stem.w"].shape
+    cases = (
+        ({k: v for k, v in good.items() if k != "head.conv.w"},
+         "'head.conv.w' is missing"),
+        ({**good, "extra.w": Tensor(np.zeros(3, np.float32))},
+         "'extra.w' is not part of the configured model"),
+        ({**good, "stem.w": Tensor(np.zeros(stem[::-1], np.float32))},
+         f"'stem.w' has shape {stem[::-1]}, the configured model needs "
+         f"{stem}"),
+    )
+    for tensors, message in cases:
+        save_checkpoint(path, ModelParams(small_params.config, tensors),
+                        step=1)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_checkpoint(path)
+
+
 # ------------------------------------------------------------- config
 
 def test_config_text_round_trip():
@@ -120,3 +142,7 @@ def test_config_text_without_equals_is_rejected():
 def test_missing_config_key_is_diagnosed():
     with pytest.raises(ConfigurationError, match="missing"):
         unet_config_from({"groups": "8"})
+    malformed = parse_config_text(config_text(UNetConfig.for_width(1 / 16)))
+    malformed["groups"] = "x4"
+    with pytest.raises(ConfigurationError, match="malformed.*'x4'"):
+        unet_config_from(malformed)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vocaldiff import load_checkpoint, read_pair
+from vocaldiff import load_checkpoint, read_pair, save_checkpoint
 from vocaldiff.cli import main
 
 
@@ -158,3 +158,35 @@ def test_missing_checkpoint_is_a_clean_error(tmp_path, capsys):
             "--trace", str(tmp_path / "t.csv")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sample_and_analyze_reject_a_checkpoint_missing_a_tensor(
+        tmp_path, trained, capsys):
+    params, _, _ = load_checkpoint(trained["ckpt"])
+    del params.tensors["head.conv.w"]
+    broken = tmp_path / "broken.vdif"
+    save_checkpoint(broken, params, step=0, extra={"length": 16})
+    vocal = sorted(trained["data"].glob("*.vlat"))[0]
+    for argv in (["sample", "--ckpt", str(broken), "--vocal", str(vocal),
+                  "--out", str(tmp_path / "x.vlat"),
+                  "--trace", str(tmp_path / "t.csv")],
+                 ["analyze", "--ckpt", str(broken),
+                  "--data", str(trained["data"]),
+                  "--csv", str(tmp_path / "s.csv")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'head.conv.w' is missing" in err
+
+
+def test_train_rejects_a_bad_learning_rate(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_gen(data)
+    for lr in ("nan", "-1"):
+        ckpt = tmp_path / f"m{lr}.vdif"
+        argv = ["train", "--data", str(data), "--steps", "1", "--batch", "2",
+                "--length", "16", "--lr", lr, "--width-mult", "0.0625",
+                "--out", str(ckpt), "--log", str(tmp_path / "l.csv")]
+        assert main(argv) == 1
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not ckpt.exists()

@@ -1,5 +1,7 @@
 """Diffusion algebra: targets, inversions, weighted loss, guidance, sampler."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from vocaldiff import (AdamWState, Schedule, TrainConfig, UNetConfig,
                        recover_x0, train_step, unet_forward, v_target)
 from vocaldiff.errors import (ConfigurationError, ContractError,
                               DimensionError, VocalDiffError)
-from vocaldiff.tensor import Tensor
+from vocaldiff.tensor import Tape, Tensor
 
 
 def unit_snr_schedule():
@@ -152,6 +154,10 @@ def test_train_config_validation():
         TrainConfig(guidance_scale=-1.0)
     with pytest.raises(ConfigurationError):
         TrainConfig(batch=0)
+    for lr in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ConfigurationError, match="lr"):
+            TrainConfig(lr=lr)
+    assert TrainConfig(lr=0.0).lr == 0.0
 
 
 # ------------------------------------------------------------ training
@@ -227,6 +233,24 @@ def test_train_step_stops_on_a_non_finite_step():
     assert state.step == 0
     assert not any(m.any() for m in state.m.values())
     assert not any(v.any() for v in state.v.values())
+
+
+def test_train_step_releases_its_tape():
+    # with the collector off, only reference counts free the tape: no
+    # parameter may keep the finished step's tape and saved activations
+    cfg, params, sched, pairs = tiny_setup()
+    state = AdamWState(params.tensors)
+    rng = np.random.default_rng(6)
+    gc.collect()
+    gc.disable()
+    try:
+        train_step(pairs[:2], params, state, cfg, sched, rng)
+        alive = [o for o in gc.get_objects() if isinstance(o, Tape)]
+    finally:
+        gc.enable()
+    assert not alive
+    assert all(p._tape is None and p.node_id is None
+               for p in params.tensors.values())
 
 
 # ------------------------------------------------------------- sampler

@@ -66,18 +66,42 @@ def test_matmul_shape_error(rng):
 
 
 def test_conv1d_matches_direct_loop(rng):
-    c_in, c_out, length, k, pad = 3, 5, 11, 3, 1
-    x = rng.standard_normal((c_in, length))
-    w = rng.standard_normal((c_out, c_in, k))
-    b = rng.standard_normal(c_out)
-    out = conv1d(Tensor(x), Tensor(w), Tensor(b), padding=pad).data
+    c_in, c_out, length = 3, 5, 11
+    for stride, pad, k in ((1, 1, 3), (2, 1, 3), (1, 0, 3), (2, 0, 4),
+                           (2, 1, 4)):
+        x = rng.standard_normal((c_in, length))
+        w = rng.standard_normal((c_out, c_in, k))
+        b = rng.standard_normal(c_out)
+        out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                     padding=pad).data
 
-    xp = np.pad(x, ((0, 0), (pad, pad)))
-    expect = np.zeros((c_out, length))
-    for o in range(c_out):
-        for i in range(length):
-            expect[o, i] = np.sum(w[o] * xp[:, i:i + k]) + b[o]
-    assert np.max(np.abs(out - expect)) < 1e-10
+        xp = np.zeros((c_in, length + 2 * pad))
+        xp[:, pad:pad + length] = x
+        l_out = (length + 2 * pad - k) // stride + 1
+        expect = np.zeros((c_out, l_out))
+        for o in range(c_out):
+            for i in range(l_out):
+                j = i * stride
+                expect[o, i] = np.sum(w[o] * xp[:, j:j + k]) + b[o]
+        assert out.shape == expect.shape
+        assert np.max(np.abs(out - expect)) < 1e-10, (stride, pad, k)
+
+
+def test_conv_transpose1d_is_adjoint_of_conv1d(rng):
+    # <conv1d(x), y> == <x, conv_transpose1d(y)> for the same weight; the
+    # lengths are chosen so the transposed output is exactly x's length
+    c_in, c_out, length = 3, 4, 12
+    for stride, pad, k in ((1, 1, 3), (2, 1, 4), (2, 0, 4)):
+        x = rng.standard_normal((c_in, length))
+        w = rng.standard_normal((c_out, c_in, k))
+        forward = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(c_out)),
+                         stride=stride, padding=pad).data
+        y = rng.standard_normal(forward.shape)
+        back = conv_transpose1d(Tensor(y), Tensor(w), Tensor(np.zeros(c_in)),
+                                stride=stride, padding=pad).data
+        assert back.shape == x.shape
+        lhs, rhs = np.sum(forward * y), np.sum(x * back)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (stride, pad, k)
 
 
 def test_conv1d_stride_output_length(rng):

@@ -113,6 +113,24 @@ def test_every_parameter_reaches_the_tape(tiny_cfg, sched):
     assert not missing, missing
 
 
+def test_no_backward_closure_holds_a_tensor(tiny_cfg, sched):
+    # a captured Tensor links back to its tape (param -> tape -> closure ->
+    # param), so the tape and every activation it saved outlive the step
+    # until the cycle collector runs
+    params = init_model_params(tiny_cfg, seed=5, zero_init_head=False)
+    for t in params.tensors.values():
+        t.requires_grad = True
+    x, z_v, _ = make_inputs(np.random.default_rng(8), 16)
+    with Tape() as tape:
+        unet_forward(x, 100, encode_vocal(z_v, params), params, sched)
+    holders = {rec.backward.__qualname__
+               for rec in tape._records
+               for cell in rec.backward.__closure__ or ()
+               if isinstance(cell.cell_contents, Tensor)}
+    assert len(tape) > 100
+    assert not holders, holders
+
+
 # ------------------------------------------------------- param helpers
 
 def test_count_params(tiny_cfg):
