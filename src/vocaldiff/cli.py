@@ -116,21 +116,23 @@ def cmd_sample(args) -> int:
     z_a, trace = ddpm_sample(vocal.z_v, params, cfg, sched, rng)
     write_pair(LatentPair(z_v=vocal.z_v, z_a=z_a, seed=args.seed,
                           length=vocal.length), args.out)
-    rows = "".join(f"{t},{m:.8g},{s:.8g}\n" for t, m, s in trace.records)
-    atomic_write(args.trace, ("t,mean_v,std_v\n" + rows).encode())
+    rows = "".join(f"{t},{m:.8g},{s:.8g},{c:.8g}\n"
+                   for t, m, s, c in trace.records)
+    atomic_write(args.trace, ("t,mean_v,std_v,clamp_frac\n" + rows).encode())
     print(f"sampled {z_a.shape} latent -> {args.out} "
           f"({len(trace)} steps, guidance {args.guidance})")
     return 0
 
 
-def _time_call(fn, reps: int) -> float:
+def _time_call(fn, reps: int) -> np.ndarray:
+    """Nanoseconds of each of ``reps`` calls, after one warm-up call."""
     fn()  # warmup
-    best = np.inf
+    times = []
     for _ in range(max(reps, 1)):
         t0 = time.perf_counter_ns()
         fn()
-        best = min(best, time.perf_counter_ns() - t0)
-    return float(best)
+        times.append(time.perf_counter_ns() - t0)
+    return np.asarray(times, dtype=np.float64)
 
 
 def _fit_exponent(lengths, times) -> float:
@@ -171,21 +173,26 @@ def cmd_bench(args) -> int:
     # kernel-major order keeps each exponent fit's three measurements within
     # a fraction of a second of each other, so drift in machine speed over
     # the run cannot tilt an individual fit
-    results = {}
+    samples = {}
     for kernel in ("local", "global", "soft_align"):
-        results[kernel] = [_time_call(cases[(kernel, length)], args.reps)
+        samples[kernel] = [_time_call(cases[(kernel, length)], args.reps)
                            for length in lengths]
+    results = {kernel: [float(t.min()) for t in times]
+               for kernel, times in samples.items()}
 
-    print(f"attention forward timings, best of {args.reps} "
-          f"(heads {args.heads}, head_dim {args.head_dim}, "
-          f"window {args.window})")
+    print(f"attention forward timings, best of {args.reps} with the median "
+          f"and quartiles of the reps (heads {args.heads}, head_dim "
+          f"{args.head_dim}, window {args.window}, OPENBLAS_NUM_THREADS "
+          f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')})")
     if args.reps == 1:
         print("warning: single repetition, timings are low-confidence")
     csv_lines = ["kernel,length,ns_per_call"]
-    for kernel, times in results.items():
-        for length, ns in zip(lengths, times):
-            print(f"  {kernel:<10} L={length:<6} {ns / 1e6:10.3f} ms/call")
-            csv_lines.append(f"{kernel},{length},{ns:.0f}")
+    for kernel, times in samples.items():
+        for length, t in zip(lengths, times):
+            q1, med, q3 = np.percentile(t, (25, 50, 75)) / 1e6
+            print(f"  {kernel:<10} L={length:<6} {t.min() / 1e6:10.3f} ms/call"
+                  f"  median {med:.3f} [{q1:.3f}, {q3:.3f}]")
+            csv_lines.append(f"{kernel},{length},{t.min():.0f}")
     g_exp = _fit_exponent(lengths, results["global"])
     l_exp = _fit_exponent(lengths, results["local"])
     s_exp = _fit_exponent(lengths, results["soft_align"])

@@ -187,12 +187,14 @@ def train_step(batch, params: ModelParams, opt_state: AdamWState,
 
 @dataclass
 class SamplerTrace:
-    """Per-reverse-step statistics of the guided v prediction."""
+    """Per-reverse-step statistics: mean and std of the guided v prediction,
+    and the fraction of x0-estimate entries the ``X0_CLAMP`` clamp moved."""
 
     records: list = field(default_factory=list)
 
-    def append(self, t: int, mean_v: float, std_v: float):
-        self.records.append((int(t), float(mean_v), float(std_v)))
+    def append(self, t: int, mean_v: float, std_v: float, clamp_frac: float):
+        self.records.append(
+            (int(t), float(mean_v), float(std_v), float(clamp_frac)))
 
     def __len__(self):
         return len(self.records)
@@ -239,8 +241,10 @@ def ddpm_sample(z_v, params: ModelParams, cfg: TrainConfig, sched: Schedule,
             v_cond = unet_forward(x, t, cond, params, sched).data
             v_uncond = unet_forward(x, t, None, params, sched).data
             v = cfg_combine(v_cond, v_uncond, cfg.guidance_scale)
-        trace.append(t, v.mean(), v.std())
-        x0_hat = np.clip(recover_x0(x, v, t, sched), -X0_CLAMP, X0_CLAMP)
+        x0_hat = recover_x0(x, v, t, sched)
+        trace.append(t, v.mean(), v.std(),
+                     np.count_nonzero(np.abs(x0_hat) > X0_CLAMP) / x0_hat.size)
+        x0_hat = np.clip(x0_hat, -X0_CLAMP, X0_CLAMP)
         ab_t = sched.alpha_bar[t]
         ab_prev = sched.alpha_bar[t - 1]
         beta = sched.betas[t]

@@ -11,6 +11,11 @@ from .errors import ContractError
 from .tensor import Tensor
 
 
+# elements per block of the optimizer's sweeps: small enough that a block of
+# every operand stays in cache, large enough to amortize the Python loop
+_CHUNK = 1 << 15
+
+
 class AdamWState:
     """First/second moment buffers and the shared step counter."""
 
@@ -29,7 +34,11 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, Tensor],
     Decay is decoupled (applied directly to the weights, not the gradient);
     names in ``decay_skip`` (biases, norm affines and similar) are exempt.
     Moments use bias correction.  Params missing a gradient entry are an
-    error: silently skipping one hides wiring bugs.
+    error: silently skipping one hides wiring bugs.  Each parameter is
+    swept in blocks of ``_CHUNK`` elements through two block-sized scratch
+    buffers, so no temporary is the size of a parameter; params must
+    therefore be C-contiguous, and each gradient must match its
+    parameter's shape and dtype.
     """
     decay_skip = decay_skip or set()
     b1, b2 = betas
@@ -41,35 +50,53 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, Tensor],
         if name not in grads:
             raise ContractError(f"no gradient for parameter {name!r}")
         g = grads[name].data
-        if g.shape != p.data.shape:
+        if g.shape != p.data.shape or g.dtype != p.data.dtype:
             raise ContractError(
-                f"gradient shape {g.shape} != parameter shape {p.data.shape} "
-                f"for {name!r}"
+                f"gradient {g.dtype}{g.shape} does not match parameter "
+                f"{p.data.dtype}{p.data.shape} for {name!r}"
             )
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        if weight_decay and name not in decay_skip:
-            p.data -= lr * weight_decay * p.data
-        update = (m / c1) / (np.sqrt(v / c2) + eps)
-        p.data -= (lr * update).astype(p.data.dtype)
+        if not p.data.flags.c_contiguous:
+            raise ContractError(f"parameter {name!r} is not C-contiguous")
+        decay = weight_decay and name not in decay_skip
+        pf, gf = p.data.reshape(-1), g.reshape(-1)
+        mf, vf = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        scratch = np.empty((2, min(pf.size, _CHUNK)), pf.dtype)
+        for lo in range(0, pf.size, _CHUNK):
+            blk = slice(lo, lo + _CHUNK)
+            pc, gc, m, v = pf[blk], gf[blk], mf[blk], vf[blk]
+            s1, s2 = scratch[:, :len(pc)]
+            m *= b1
+            m += np.multiply(1.0 - b1, gc, out=s1)
+            v *= b2
+            v += np.multiply(1.0 - b2, np.multiply(gc, gc, out=s1), out=s1)
+            if decay:
+                pc -= np.multiply(lr * weight_decay, pc, out=s1)
+            np.divide(m, c1, out=s1)
+            np.sqrt(np.divide(v, c2, out=s2), out=s2)
+            s2 += eps
+            s1 /= s2
+            pc -= np.multiply(lr, s1, out=s1)
 
 
 def clip_grad_norm(grads: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is <= max_norm.
 
-    Returns the pre-clip norm.  The accumulation runs in float64 so the
-    squared sum of many float32 gradients does not lose low bits.  A
+    Returns the pre-clip norm.  The squares are summed in float64, one
+    ``_CHUNK``-element block at a time, so the sum of many float32
+    gradients does not lose low bits and no gradient is copied whole.  A
     non-finite norm leaves the gradients unscaled for the caller to report.
     """
     if max_norm <= 0:
         raise ContractError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
+    block = np.empty(_CHUNK, np.float64)
     for g in grads.values():
-        total += float(np.sum(g.data.astype(np.float64) ** 2))
+        flat = g.data.reshape(-1)
+        for lo in range(0, flat.size, _CHUNK):
+            part = flat[lo:lo + _CHUNK]
+            c = block[:part.size]
+            c[...] = part
+            total += float(np.dot(c, c))
     norm = math.sqrt(total)
     if max_norm < norm < math.inf:
         scale = max_norm / norm

@@ -100,6 +100,10 @@ class Tape:
         grads: dict[int, np.ndarray] = {
             loss.node_id: np.ones_like(loss.data)
         }
+        # nodes whose gradient is an array this sweep allocated; only those
+        # are added into in place, never an array a backward rule returned
+        # (add's rule hands the same array to both of its inputs)
+        owned: set[int] = set()
         for rec in reversed(self._records):
             gout = grads.pop(rec.out_id, None)
             if gout is None:
@@ -110,8 +114,14 @@ class Tape:
                 acc = grads.get(in_id)
                 if acc is None:
                     grads[in_id] = gin
+                elif (in_id in owned and gin.shape == acc.shape
+                      and gin.dtype == acc.dtype):
+                    acc += gin
                 else:
-                    grads[in_id] = acc + gin
+                    # asarray: a 0-d sum arrives as a numpy scalar, which
+                    # cannot be added into
+                    grads[in_id] = np.asarray(acc + gin)
+                    owned.add(in_id)
         return {
             node_id: Tensor(g)
             for node_id, g in grads.items()
@@ -410,10 +420,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     ad, bd = a.data, b.data
 
+    # np.dot, not np.matmul: matmul skips BLAS when the inner dimension is 1
+    # (FiLM's rank-1 weight gradient) and runs several times slower there
     def bwd(g):
-        return g @ bd.T, ad.T @ g
+        return np.dot(g, bd.T), np.dot(ad.T, g)
 
-    return _apply(ad @ bd, (a, b), bwd)
+    return _apply(np.dot(ad, bd), (a, b), bwd)
 
 
 def _columns(xp: np.ndarray, k: int, stride: int, l_out: int) -> np.ndarray:

@@ -104,9 +104,10 @@ def test_sample_writes_latent_and_trace(tmp_path, trained, capsys):
     assert np.all(np.isfinite(produced.z_a))
 
     rows = trace.read_text().strip().splitlines()
-    assert rows[0] == "t,mean_v,std_v"
+    assert rows[0] == "t,mean_v,std_v,clamp_frac"
     assert len(rows) == 21  # one record per reverse step
     assert [int(r.split(",")[0]) for r in rows[1:4]] == [20, 19, 18]
+    assert all(0.0 <= float(r.split(",")[3]) <= 1.0 for r in rows[1:])
 
 
 def test_sample_rejects_mismatched_length(tmp_path, trained, capsys):
@@ -143,6 +144,8 @@ def test_bench_reports_timings_and_exponents(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "warning: single repetition" in out
     assert "fitted scaling exponents" in out
+    assert "OPENBLAS_NUM_THREADS" in out
+    assert out.count("ms/call  median ") == 9  # one per kernel and length
 
     rows = csv.read_text().strip().splitlines()
     assert rows[0] == "kernel,length,ns_per_call"

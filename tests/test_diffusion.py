@@ -275,6 +275,26 @@ def test_sampler_contracts_to_the_oracle_fixed_point(sched):
     assert [r[0] for r in trace.records[:3]] == [800, 799, 798]
 
 
+def test_sampler_trace_counts_clamped_x0_entries(sched):
+    # |v| = 1e3 against the sign of x_t puts every x0 entry beyond the clamp
+    # at every step (sqrt(1 - abar_t) * 1e3 >= 7.2); v = 0 with x_t ~ N(0, 1)
+    # keeps them inside it at the first step
+    def away(x_t, t):
+        return np.where(x_t < 0, 1e3, -1e3).astype(np.float32)
+
+    def still(x_t, t):
+        return np.zeros_like(x_t)
+
+    cfg = TrainConfig(timesteps=sched.num_steps)
+    z_v = np.zeros((8, 16), np.float32)
+    _, trace = ddpm_sample(z_v, None, cfg, sched, np.random.default_rng(6),
+                           denoise_fn=away)
+    assert [r[3] for r in trace.records] == [1.0] * sched.num_steps
+    _, trace = ddpm_sample(z_v, None, cfg, sched, np.random.default_rng(6),
+                           denoise_fn=still)
+    assert trace.records[0][3] == 0.0
+
+
 def test_sampler_is_deterministic_given_the_rng(sched):
     def still(x_t, t):
         return np.zeros_like(x_t)

@@ -1,12 +1,14 @@
 """Optimizer behavior against closed forms and a reference recurrence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vocaldiff import AdamWState, adamw_step, clip_grad_norm, cosine_lr
 from vocaldiff.errors import ContractError
+from vocaldiff.optim import _CHUNK
 from vocaldiff.tensor import Tensor
 
 
@@ -47,6 +49,41 @@ def test_three_steps_match_reference_recurrence():
         p = p * (1 - lr * wd)
         p = p - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
     assert np.max(np.abs(params["w"].data - p)) < 1e-14
+
+
+def test_blocked_update_is_bitwise_the_textbook_formula():
+    # float32 parameters longer than a block and not a multiple of it; the
+    # formula keeps the optimizer's operation order, so results are equal
+    rng = np.random.default_rng(13)
+    shapes = {"w": (3, _CHUNK // 2 + 7), "b": (2 * _CHUNK + 5,)}
+    p0 = {k: rng.standard_normal(s).astype(np.float32) for k, s in
+          shapes.items()}
+    lr, b1, b2, eps, wd = 3e-3, 0.9, 0.999, 1e-8, 0.01
+
+    params = {k: Tensor(v.copy()) for k, v in p0.items()}
+    state = AdamWState(params)
+    p = {k: v.copy() for k, v in p0.items()}
+    m = {k: np.zeros_like(v) for k, v in p0.items()}
+    v = {k: np.zeros_like(x) for k, x in p0.items()}
+    for t in range(1, 4):
+        grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in
+                 shapes.items()}
+        adamw_step(params, {k: Tensor(g) for k, g in grads.items()}, state,
+                   lr, betas=(b1, b2), eps=eps, weight_decay=wd,
+                   decay_skip={"b"})
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+            if k != "b":
+                p[k] = p[k] - lr * wd * p[k]
+            update = (m[k] / (1.0 - b1 ** t)) / (
+                np.sqrt(v[k] / (1.0 - b2 ** t)) + eps)
+            p[k] = p[k] - lr * update
+    for k in shapes:
+        assert params[k].data.dtype == np.float32
+        assert np.array_equal(params[k].data, p[k])
+        assert np.array_equal(state.m[k], m[k])
+        assert np.array_equal(state.v[k], v[k])
 
 
 def test_zero_gradient_without_decay_is_a_no_op():
@@ -91,6 +128,19 @@ def test_gradient_shape_mismatch_is_an_error():
         adamw_step(params, {"w": make([1.0, 2.0, 3.0])}, state, 1e-3)
 
 
+def test_gradient_dtype_mismatch_and_strided_params_are_errors():
+    params = {"w": make([1.0, 2.0])}
+    state = AdamWState(params)
+    with pytest.raises(ContractError, match="does not match"):
+        adamw_step(params, {"w": Tensor(np.zeros(2, np.float32))}, state,
+                   1e-3)
+    params = {"w": make(np.zeros((3, 2))[:, 0])}
+    state = AdamWState(params)
+    with pytest.raises(ContractError, match="C-contiguous"):
+        adamw_step(params, {"w": make(np.zeros(3))}, state, 1e-3)
+    assert np.array_equal(params["w"].data, np.zeros(3))
+
+
 def test_state_buffers_match_param_shapes():
     params = {"a": make(np.zeros((2, 3))), "b": make(np.zeros(5))}
     state = AdamWState(params)
@@ -123,6 +173,26 @@ def test_clip_rescales_to_the_global_norm():
     # direction is preserved: every entry scales by the same factor
     for k in arrays:
         assert np.allclose(grads[k].data, arrays[k] * (0.1 / pre), rtol=1e-5)
+
+
+def test_clip_norm_of_a_multi_block_gradient_makes_no_float64_copy():
+    rng = np.random.default_rng(14)
+    arrays = {"a": rng.standard_normal(3 * _CHUNK + 11).astype(np.float32),
+              "b": rng.standard_normal((5, 7)).astype(np.float32)}
+    grads = {k: Tensor(v.copy()) for k, v in arrays.items()}
+    oracle = math.sqrt(sum(float(np.sum(v.astype(np.float64) ** 2))
+                           for v in arrays.values()))
+    tracemalloc.start()
+    try:
+        norm = clip_grad_norm(grads, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(norm - oracle) <= 1e-12 * oracle
+    assert peak < arrays["a"].size * 8
+    scale = np.float32(1.0 / norm)
+    for k, v in arrays.items():
+        assert np.array_equal(grads[k].data, v * scale)
 
 
 def test_clip_requires_positive_max_norm():

@@ -6,10 +6,10 @@ import pytest
 
 from vocaldiff.errors import ContractError, DimensionError
 from vocaldiff.gradcheck import check_gradients, numeric_grad, rel_error
-from vocaldiff.tensor import (Tape, Tensor, backward, concat, conv1d,
-                              conv_transpose1d, group_norm, matmul, narrow,
-                              permute, reshape, silu, softmax, tensor_mean,
-                              tensor_sum, transpose)
+from vocaldiff.tensor import (Tape, Tensor, _apply, add, backward, concat,
+                              conv1d, conv_transpose1d, group_norm, matmul,
+                              narrow, permute, reshape, silu, softmax,
+                              tensor_mean, tensor_sum, transpose)
 
 GRAD_TOL = 1e-4  # primitives, float64, eps 1e-3
 
@@ -57,6 +57,29 @@ def test_matmul_matches_numpy(rng):
     a, b = rng.standard_normal((4, 6)), rng.standard_normal((6, 3))
     out = matmul(Tensor(a), Tensor(b))
     assert np.allclose(out.data, a @ b, atol=1e-12)
+
+
+def test_matmul_rank_one_is_the_outer_product(rng):
+    # inner dimension 1: forward, and FiLM's weight gradient (1, d)^T @ (1, n),
+    # are one product per entry, so they match np.outer bitwise
+    for dtype in (np.float32, np.float64):
+        u = rng.standard_normal((6, 1)).astype(dtype)
+        v = rng.standard_normal((1, 9)).astype(dtype)
+        assert np.array_equal(matmul(Tensor(u), Tensor(v)).data,
+                              np.outer(u, v))
+        a = Tensor(rng.standard_normal((1, 6)).astype(dtype),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 9)).astype(dtype),
+                   requires_grad=True)
+        m = rng.standard_normal((1, 9)).astype(dtype)
+        with Tape():
+            grads = backward(tensor_sum(matmul(a, w) * Tensor(m)))
+        dw = grads[w.node_id].data
+        assert dw.dtype == dtype and np.array_equal(dw, np.outer(a.data, m))
+    u, v = t64(rng, 6, 1), t64(rng, 1, 9)
+    m = Tensor(rng.standard_normal((6, 9)))
+    errs = grad_of(lambda: tensor_sum(matmul(u, v) * m), u, v)
+    assert max(errs.values()) < GRAD_TOL
 
 
 def test_matmul_shape_error(rng):
@@ -277,3 +300,84 @@ def test_numeric_grad_probes_selected_indices(rng):
     g = numeric_grad(lambda: tensor_sum(x * x), x, indices=[(0, 0), (2, 1)])
     assert g[0, 0] == pytest.approx(2.0 * x.data[0, 0], rel=1e-6)
     assert g[1, 1] == 0.0  # unprobed entries stay zero
+
+
+def _gradients_guarded(loss_fn, leaves):
+    """Gradients of ``loss_fn()`` for ``leaves``; fails if the backward sweep
+    wrote into any array that a backward rule returned."""
+    returned = []
+
+    def watch(rule):
+        def wrapped(g):
+            gins = rule(g)
+            returned.extend((gin, gin.copy()) for gin in gins
+                            if gin is not None)
+            return gins
+        return wrapped
+
+    with Tape() as tape:
+        loss = loss_fn()
+        for rec in tape._records:
+            rec.backward = watch(rec.backward)
+        grads = backward(loss)
+    assert returned
+    for gin, before in returned:
+        assert np.array_equal(gin, before)
+    return [grads[p.node_id].data for p in leaves]
+
+
+def _check_fan_in(loss_fn, *leaves):
+    # quadratic losses: central differences are exact up to rounding
+    for leaf, got in zip(leaves, _gradients_guarded(loss_fn, leaves)):
+        assert rel_error(got, numeric_grad(loss_fn, leaf)) < 1e-9
+
+
+def test_fan_in_of_a_leaf_added_to_itself(rng):
+    # add(x, x) hands one array to both slots; x then gets two more
+    x = t64(rng, 3, 4)
+    m1, m2 = (Tensor(rng.standard_normal((3, 4))) for _ in range(2))
+    _check_fan_in(lambda: tensor_sum(x * m1) + tensor_sum(x * x)
+                  + tensor_sum(add(x, x) * m2), x)
+    _check_fan_in(lambda: tensor_sum(add(x, x) * m2) + tensor_sum(x * m1)
+                  + tensor_sum(x * x), x)
+
+
+def test_fan_in_of_two_leaves_joined_by_add(rng):
+    # add(a, b) runs first in the sweep and gives a and b the same array;
+    # each then receives two more contributions
+    a, b = t64(rng, 2, 5), t64(rng, 2, 5)
+    m = Tensor(rng.standard_normal((2, 5)))
+    _check_fan_in(lambda: tensor_sum(a * a) + tensor_sum(b * m)
+                  + tensor_sum(a * b) + tensor_sum(add(a, b) * m), a, b)
+
+
+def test_fan_in_through_a_reshape_view(rng):
+    # reshape's rule returns a view of its output gradient, itself summed
+    # from several uses
+    x = t64(rng, 4, 6)
+    m1 = Tensor(rng.standard_normal((6, 4)))
+    m2 = Tensor(rng.standard_normal((4, 6)))
+
+    def loss():
+        r = reshape(x, (6, 4))
+        return (tensor_sum(r * m1) + tensor_sum(r * r) + tensor_sum(x * m2)
+                + tensor_sum(reshape(r, (4, 6)) * x))
+
+    _check_fan_in(loss, x)
+
+
+def test_fan_in_keeps_the_promoted_dtype(rng):
+    # a float64 contribution to a gradient summed so far in float32 promotes
+    # it, as acc + gin would, instead of being added into the float32 array
+    def to_float64(t):
+        return _apply(t.data.astype(np.float64), (t,),
+                      lambda g: (g.astype(np.float32),))
+
+    x = Tensor(rng.standard_normal((3, 4)).astype(np.float32),
+               requires_grad=True)
+    y = Tensor(rng.standard_normal((3, 4)))
+    with Tape():
+        loss = tensor_sum(x * y) + tensor_sum(to_float64(x * x))
+        g = backward(loss)[x.node_id].data
+    assert g.dtype == np.float64
+    assert rel_error(g, y.data + 2.0 * x.data) < 1e-6
