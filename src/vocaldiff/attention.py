@@ -276,15 +276,20 @@ def init_attention_params(cfg: AttentionConfig, rng: np.random.Generator,
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(L, heads * head_dim) -> (heads, L, head_dim)."""
-    length, width = x.shape
-    return permute(reshape(x, (length, heads, width // heads)), (1, 0, 2))
+    """(..., L, heads * head_dim) -> (..., heads, L, head_dim)."""
+    *lead, length, width = x.shape
+    n = len(lead)
+    return permute(reshape(x, (*lead, length, heads, width // heads)),
+                   (*range(n), n + 1, n, n + 2))
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """(heads, L, head_dim) -> (L, heads * head_dim); undoes split_heads."""
-    heads, length, head_dim = x.shape
-    return reshape(permute(x, (1, 0, 2)), (length, heads * head_dim))
+    """(..., heads, L, head_dim) -> (..., L, heads * head_dim); undoes
+    split_heads."""
+    *lead, heads, length, head_dim = x.shape
+    n = len(lead)
+    return reshape(permute(x, (*range(n), n + 1, n, n + 2)),
+                   (*lead, length, heads * head_dim))
 
 
 def soft_align_attention(x: Tensor, t: int, cfg: AttentionConfig,
@@ -293,9 +298,9 @@ def soft_align_attention(x: Tensor, t: int, cfg: AttentionConfig,
 
     Per head, context = g * global + (1 - g) * local with g = sqrt(abar_t);
     heads are merged, projected, and added back onto x residually.
-    Input and output are (model_dim, L).
+    Input and output are (..., model_dim, L); leading axes batch items.
     """
-    if x.data.ndim != 2 or x.shape[0] != cfg.model_dim:
+    if x.data.ndim < 2 or x.shape[-2] != cfg.model_dim:
         raise ConfigurationError(
             f"input channels {x.shape} incompatible with model_dim "
             f"{cfg.model_dim}"

@@ -30,7 +30,7 @@ from .synthdata import LatentPair, gen_pair, read_pair, write_pair
 from .tensor import Tensor
 from .training import run_training
 from .unet import (encode_vocal, init_model_params, param_breakdown,
-                   unet_forward, UNetConfig)
+                   stack_conds, unet_forward, UNetConfig)
 
 
 def _load_pairs(data_dir, limit=None):
@@ -216,16 +216,15 @@ def cmd_analyze(args) -> int:
     timesteps = int(cfg_map.get("timesteps", 800))
     sched = build_cosine_schedule(timesteps)
     rng = substream(args.seed, "analyze")
-    conds = [encode_vocal(p.z_v, params) for p in pairs]
+    # all pairs run as one batch per timestep, each with its own vocal
+    cond = stack_conds([encode_vocal(p.z_v, params) for p in pairs])
+    z_a = np.stack([p.z_a for p in pairs])
     stds = []
     for t in range(1, timesteps + 1):
-        values = []
-        for pair, cond in zip(pairs, conds):
-            eps = rng.standard_normal(pair.z_a.shape).astype(np.float32)
-            x_t = forward_diffuse(pair.z_a, eps, t, sched)
-            v = unet_forward(x_t, t, cond, params, sched)
-            values.append(v.data.ravel())
-        stds.append(float(np.concatenate(values).std()))
+        eps = np.stack([rng.standard_normal(p.z_a.shape).astype(np.float32)
+                        for p in pairs])
+        x_t = forward_diffuse(z_a, eps, t, sched)
+        stds.append(float(unet_forward(x_t, t, cond, params, sched).data.std()))
     rows = "".join(f"{t},{s:.8g}\n" for t, s in enumerate(stds, start=1))
     atomic_write(args.csv, ("t,std_v\n" + rows).encode())
     decile = max(timesteps // 10, 1)

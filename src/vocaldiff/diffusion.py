@@ -16,7 +16,8 @@ from .errors import (ConfigurationError, ContractError, DimensionError,
 from .optim import AdamWState, adamw_step, clip_grad_norm
 from .schedule import Schedule, _check_t, forward_diffuse, snr_weight
 from .tensor import Tape, Tensor, backward, mul, sub
-from .unet import ModelParams, encode_vocal, unet_forward
+from .unet import (ModelParams, encode_vocal, null_cond, stack_conds,
+                   unet_forward)
 
 
 @dataclass
@@ -211,6 +212,8 @@ def ddpm_sample(z_v, params: ModelParams, cfg: TrainConfig, sched: Schedule,
     conditional and unconditional v predictions under the guidance scale,
     reads off a clamped x0 estimate, and steps the posterior with variance
     beta_t * (1 - abar_{t-1}) / (1 - abar_t), adding noise only for t > 1.
+    Guidance 0 and 1 evaluate only the branch they return; any other scale
+    evaluates both as one U-Net call on a batch of 2.
 
     denoise_fn, if given, replaces the network: it is called as
     denoise_fn(x_t, t) and must return v with x_t's shape.
@@ -228,6 +231,9 @@ def ddpm_sample(z_v, params: ModelParams, cfg: TrainConfig, sched: Schedule,
     cond = None
     if denoise_fn is None:
         cond = encode_vocal(z_v, params)
+        if cfg.guidance_scale not in (0.0, 1.0):
+            # item 0 is the conditional branch, item 1 the unconditional one
+            cond = stack_conds((cond, null_cond(params, z_v.shape)))
     x = rng.standard_normal(z_v.shape).astype(np.float32)
     trace = SamplerTrace()
     for t in range(sched.num_steps, 0, -1):
@@ -238,8 +244,8 @@ def ddpm_sample(z_v, params: ModelParams, cfg: TrainConfig, sched: Schedule,
         elif cfg.guidance_scale == 1.0:
             v = unet_forward(x, t, cond, params, sched).data
         else:
-            v_cond = unet_forward(x, t, cond, params, sched).data
-            v_uncond = unet_forward(x, t, None, params, sched).data
+            v_cond, v_uncond = unet_forward(np.stack((x, x)), t, cond, params,
+                                            sched).data
             v = cfg_combine(v_cond, v_uncond, cfg.guidance_scale)
         x0_hat = recover_x0(x, v, t, sched)
         trace.append(t, v.mean(), v.std(),

@@ -9,7 +9,10 @@ so inference costs nothing extra.
 
 Only the operations the model actually needs are provided; broadcasting is
 supported for the elementwise ops (gradients are summed back to the input
-shapes), while ``matmul`` is strictly two-dimensional.
+shapes).  The convolutions, ``group_norm``, ``transpose`` and ``matmul``'s
+left operand take optional leading batch axes in front of their 2-d
+(channels, length) or (rows, features) shape; the 2-d call is the case with
+none, and backward rules sum parameter gradients over the batch axes.
 """
 
 from __future__ import annotations
@@ -353,13 +356,15 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-d tensor, got {x.shape}")
+    """Swap the last two axes of a (..., M, N) tensor."""
+    if x.data.ndim < 2:
+        raise DimensionError(
+            f"transpose expects a (..., M, N) tensor, got {x.shape}")
 
     def bwd(g):
-        return (g.T.copy(),)
+        return (g.swapaxes(-1, -2).copy(),)
 
-    return _apply(x.data.T.copy(), (x,), bwd)
+    return _apply(x.data.swapaxes(-1, -2).copy(), (x,), bwd)
 
 
 def permute(x: Tensor, axes) -> Tensor:
@@ -413,58 +418,66 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Strict 2-d matrix product; dA = dC @ B^T, dB = A^T @ dC."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """(..., M, K) @ (K, N) -> (..., M, N); dA = dC @ B^T, dB = A^T @ dC.
+
+    The leading axes of a fold into its rows, so forward and both gradients
+    are one 2-d GEMM each, and dB sums over the batch inside its GEMM.
+    """
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise DimensionError(
             f"matmul shape mismatch: {a.shape} @ {b.shape}"
         )
     ad, bd = a.data, b.data
+    a2 = ad.reshape(-1, ad.shape[-1])
+    n = bd.shape[1]
 
     # np.dot, not np.matmul: matmul skips BLAS when the inner dimension is 1
     # (FiLM's rank-1 weight gradient) and runs several times slower there
     def bwd(g):
-        return np.dot(g, bd.T), np.dot(ad.T, g)
+        g2 = g.reshape(-1, n)
+        return np.dot(g2, bd.T).reshape(ad.shape), np.dot(a2.T, g2)
 
-    return _apply(np.dot(ad, bd), (a, b), bwd)
+    return _apply(np.dot(a2, bd).reshape(ad.shape[:-1] + (n,)), (a, b), bwd)
 
 
 def _columns(xp: np.ndarray, k: int, stride: int, l_out: int) -> np.ndarray:
-    """(C*K, L_out) im2col matrix of a padded (C, L) input: row c*K + j,
-    column i holds xp[c, i*stride + j]."""
+    """(..., C*K, L_out) im2col matrices of a padded (..., C, L) input: row
+    c*K + j, column i holds xp[..., c, i*stride + j]."""
     return np.lib.stride_tricks.as_strided(
-        xp, (len(xp), k, l_out), xp.strides + (xp.strides[1] * stride,),
-        writeable=False).reshape(-1, l_out)
+        xp, xp.shape[:-1] + (k, l_out), xp.strides + (xp.strides[-1] * stride,),
+        writeable=False).reshape(xp.shape[:-2] + (-1, l_out))
 
 
 def _overlap_add(cols: np.ndarray, k: int, stride: int, length: int):
-    """Adjoint of ``_columns``: add each entry of a (C*K, L_out) matrix back
-    onto the (C, length) position it was read from."""
-    c_k, l_out = cols.shape
-    out = np.zeros((c_k // k, length), cols.dtype)
+    """Adjoint of ``_columns``: add each entry of (..., C*K, L_out) matrices
+    back onto the (..., C, length) position it was read from."""
+    c_k, l_out = cols.shape[-2:]
+    out = np.zeros(cols.shape[:-2] + (c_k // k, length), cols.dtype)
     for j in range(k):
-        out[:, j:j + stride * l_out:stride] += cols[j::k]
+        out[..., j:j + stride * l_out:stride] += cols[..., j::k, :]
     return out
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
            padding: int = 0) -> Tensor:
-    """Cross-correlation over (C_in, L) with weight (C_out, C_in, K).
+    """Cross-correlation over (..., C_in, L) with weight (C_out, C_in, K).
 
-    L_out = floor((L + 2*padding - K) / stride) + 1.  One GEMM on the
-    ``_columns`` of the zero-padded input; backward, two GEMMs give dw and,
-    through ``_overlap_add``, dx.
+    Leading axes of x batch independent inputs; the output is
+    (..., C_out, L_out) with L_out = floor((L + 2*padding - K) / stride) + 1.
+    One GEMM per item on the ``_columns`` of the zero-padded input; backward,
+    two more give dx (through ``_overlap_add``) and dw, summed over the batch.
     """
-    if x.data.ndim != 2 or w.data.ndim != 3:
+    if x.data.ndim < 2 or w.data.ndim != 3:
         raise DimensionError(
-            f"conv1d expects x (C_in, L) and w (C_out, C_in, K), "
+            f"conv1d expects x (..., C_in, L) and w (C_out, C_in, K), "
             f"got {x.shape} and {w.shape}"
         )
     c_out, c_in, k = w.shape
-    if x.shape[0] != c_in:
+    if x.shape[-2] != c_in:
         raise DimensionError(
-            f"conv1d channel mismatch: x has {x.shape[0]}, w expects {c_in}"
+            f"conv1d channel mismatch: x has {x.shape[-2]}, w expects {c_in}"
         )
-    length = x.shape[1]
+    length = x.shape[-1]
     if length + 2 * padding < k:
         raise DimensionError(
             f"conv1d kernel {k} larger than padded input {length + 2 * padding}"
@@ -472,40 +485,43 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     if b.shape != (c_out,):
         raise DimensionError(f"conv1d bias must be ({c_out},), got {b.shape}")
     l_out = (length + 2 * padding - k) // stride + 1
-    xp = np.zeros((c_in, length + 2 * padding), x.dtype)
-    xp[:, padding:padding + length] = x.data
+    xp = np.zeros(x.shape[:-1] + (length + 2 * padding,), x.dtype)
+    xp[..., padding:padding + length] = x.data
     w2 = w.data.reshape(c_out, c_in * k)
     out = w2 @ _columns(xp, k, stride, l_out) + b.data[:, None]
 
     def bwd(g):
-        dxp = _overlap_add(w2.T @ g, k, stride, xp.shape[1])
-        dw = g @ _columns(xp, k, stride, l_out).T
-        return (np.ascontiguousarray(dxp[:, padding:padding + length]),
-                dw.reshape(c_out, c_in, k), g.sum(axis=1))
+        dxp = _overlap_add(w2.T @ g, k, stride, xp.shape[-1])
+        dw = g @ _columns(xp, k, stride, l_out).swapaxes(-1, -2)
+        return (np.ascontiguousarray(dxp[..., padding:padding + length]),
+                _unbroadcast(dw, w2.shape).reshape(c_out, c_in, k),
+                _unbroadcast(g.sum(axis=-1), (c_out,)))
 
     return _apply(out, (x, w, b), bwd)
 
 
 def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
                      padding: int = 0) -> Tensor:
-    """Transposed convolution; weight is (C_in, C_out, K).
+    """Transposed convolution of (..., C_in, L); weight is (C_in, C_out, K).
 
-    L_out = (L - 1) * stride - 2 * padding + K.  The adjoint of ``conv1d``
-    under the same weight, stride and padding: a GEMM then ``_overlap_add``
-    forward, two GEMMs on the ``_columns`` of the padded gradient backward.
+    Leading axes of x batch independent inputs; the output is
+    (..., C_out, L_out) with L_out = (L - 1) * stride - 2 * padding + K.  The
+    adjoint of ``conv1d`` under the same weight, stride and padding: a GEMM
+    then ``_overlap_add`` forward, two GEMMs on the ``_columns`` of the padded
+    gradient backward, dw summed over the batch.
     """
-    if x.data.ndim != 2 or w.data.ndim != 3:
+    if x.data.ndim < 2 or w.data.ndim != 3:
         raise DimensionError(
-            f"conv_transpose1d expects x (C_in, L) and w (C_in, C_out, K), "
-            f"got {x.shape} and {w.shape}"
+            f"conv_transpose1d expects x (..., C_in, L) and w "
+            f"(C_in, C_out, K), got {x.shape} and {w.shape}"
         )
     c_in, c_out, k = w.shape
-    if x.shape[0] != c_in:
+    if x.shape[-2] != c_in:
         raise DimensionError(
-            f"conv_transpose1d channel mismatch: x has {x.shape[0]}, "
+            f"conv_transpose1d channel mismatch: x has {x.shape[-2]}, "
             f"w expects {c_in}"
         )
-    length = x.shape[1]
+    length = x.shape[-1]
     l_out = (length - 1) * stride - 2 * padding + k
     if l_out < 1:
         raise DimensionError(
@@ -514,14 +530,16 @@ def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     full = (length - 1) * stride + k
     w2 = w.data.reshape(c_in, c_out * k)
     xd = x.data
-    out = (_overlap_add(w2.T @ xd, k, stride, full)[:, padding:padding + l_out]
+    out = (_overlap_add(w2.T @ xd, k, stride, full)[..., padding:padding + l_out]
            + b.data[:, None])
 
     def bwd(g):
-        gp = np.zeros((c_out, full), g.dtype)
-        gp[:, padding:padding + l_out] = g
+        gp = np.zeros(g.shape[:-1] + (full,), g.dtype)
+        gp[..., padding:padding + l_out] = g
         cols = _columns(gp, k, stride, length)
-        return w2 @ cols, (xd @ cols.T).reshape(c_in, c_out, k), g.sum(1)
+        dw = _unbroadcast(xd @ cols.swapaxes(-1, -2), w2.shape)
+        return (w2 @ cols, dw.reshape(c_in, c_out, k),
+                _unbroadcast(g.sum(axis=-1), (c_out,)))
 
     return _apply(out, (x, w, b), bwd)
 
@@ -551,10 +569,12 @@ def softmax(x: Tensor) -> Tensor:
 
 def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
                eps: float = 1e-5) -> Tensor:
-    """GroupNorm over (C, L): normalize per group, affine per channel."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"group_norm expects (C, L), got {x.shape}")
-    c, length = x.shape
+    """GroupNorm over (..., C, L): normalize per group of each item (leading
+    axes batch items), affine per channel; dgamma and dbeta sum over the
+    batch."""
+    if x.data.ndim < 2:
+        raise DimensionError(f"group_norm expects (..., C, L), got {x.shape}")
+    c = x.shape[-2]
     if groups < 1 or c % groups != 0:
         raise ConfigurationError(
             f"groups={groups} must divide channel count {c}"
@@ -563,23 +583,24 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
         raise DimensionError(
             f"group_norm affine must be ({c},), got {gamma.shape} / {beta.shape}"
         )
-    xg = x.data.reshape(groups, -1)
-    mean = xg.mean(axis=1, keepdims=True, dtype=np.float64)
-    var = ((xg.astype(np.float64) - mean) ** 2).mean(axis=1, keepdims=True)
+    grouped = x.shape[:-2] + (groups, -1)
+    xg = x.data.reshape(grouped)
+    mean = xg.mean(axis=-1, keepdims=True, dtype=np.float64)
+    var = ((xg.astype(np.float64) - mean) ** 2).mean(axis=-1, keepdims=True)
     inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
     mean = mean.astype(x.dtype)
-    xhat = ((xg - mean) * inv_std).reshape(c, length)
+    xhat = ((xg - mean) * inv_std).reshape(x.shape)
     out = gamma.data[:, None] * xhat + beta.data[:, None]
     gd = gamma.data
 
     def bwd(g):
-        dgamma = (g * xhat).sum(axis=1)
-        dbeta = g.sum(axis=1)
-        dxhat = (g * gd[:, None]).reshape(groups, -1)
-        xh = xhat.reshape(groups, -1)
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xh).mean(axis=1, keepdims=True)
-        dx = (inv_std * (dxhat - m1 - xh * m2)).reshape(c, length)
+        dgamma = _unbroadcast((g * xhat).sum(axis=-1), gd.shape)
+        dbeta = _unbroadcast(g.sum(axis=-1), gd.shape)
+        dxhat = (g * gd[:, None]).reshape(grouped)
+        xh = xhat.reshape(grouped)
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xh).mean(axis=-1, keepdims=True)
+        dx = (inv_std * (dxhat - m1 - xh * m2)).reshape(xhat.shape)
         return dx, dgamma, dbeta
 
     return _apply(out, (x, gamma, beta), bwd)

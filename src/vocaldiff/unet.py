@@ -139,21 +139,22 @@ def timestep_embedding(t: int, dim: int,
 
 
 def film(x: Tensor, cond_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-channel affine modulation (1 + scale) * x + shift.
+    """Per-channel affine modulation (1 + scale) * x + shift of x (..., C, L).
 
-    scale and shift come from a learned linear map of cond_vec; with w and
-    b zero the op is the identity.
+    scale and shift come from a learned linear map of cond_vec (..., d),
+    whose leading axes match x's; with w and b zero the op is the identity.
     """
-    c = x.shape[0]
-    d = cond_vec.shape[0]
+    c = x.shape[-2]
+    lead, d = cond_vec.shape[:-1], cond_vec.shape[-1]
     if w.shape != (d, 2 * c) or b.shape != (2 * c,):
         raise ConfigurationError(
             f"film affine shapes {w.shape}/{b.shape} incompatible with "
             f"channels {c} and cond dim {d}"
         )
-    sb = add(matmul(reshape(cond_vec, (1, d)), w), b)
-    scale = transpose(narrow(sb, 1, 0, c))
-    shift = transpose(narrow(sb, 1, c, c))
+    sb = add(matmul(reshape(cond_vec, lead + (1, d)), w), b)
+    sb = reshape(sb, lead + (2 * c, 1))
+    scale = narrow(sb, -2, 0, c)
+    shift = narrow(sb, -2, c, c)
     return add(mul(x, add(scale, 1.0)), shift)
 
 
@@ -186,13 +187,14 @@ def encode_vocal(z_v, params: ModelParams):
 
 def cross_attention(x: Tensor, tokens: Tensor, params: ModelParams,
                     prefix: str) -> Tensor:
-    """Multi-head attention from sequence x (C, L) onto token rows (Lt, D)."""
+    """Multi-head attention from sequence x (..., C, L) onto token rows
+    (..., Lt, D) with the same leading axes."""
     heads = params.config.heads
     p = params.tensors
     q = add(matmul(transpose(x), p[prefix + "q.w"]), p[prefix + "q.b"])
     k = add(matmul(tokens, p[prefix + "k.w"]), p[prefix + "k.b"])
     v = add(matmul(tokens, p[prefix + "v.w"]), p[prefix + "v.b"])
-    scale = 1.0 / math.sqrt(q.shape[1] // heads)
+    scale = 1.0 / math.sqrt(q.shape[-1] // heads)
     ctx = scaled_dot_attention(split_heads(q, heads), split_heads(k, heads),
                                split_heads(v, heads), scale)
     o = add(matmul(merge_heads(ctx), p[prefix + "out.w"]),
@@ -292,13 +294,31 @@ def init_model_params(config: UNetConfig, seed: int = 0,
     return ModelParams(config, tensors)
 
 
+def null_cond(params: ModelParams, shape) -> tuple:
+    """(tokens, pooled) of the unconditional (classifier-free) pass for a
+    latent of shape (..., in_channels, L): zero tokens (..., L/4, D) and the
+    learned null pooled vector (D,)."""
+    d = params.config.time_embed_dim
+    p = params.tensors
+    tokens = np.zeros(shape[:-2] + (max(shape[-1] // 4, 1), d),
+                      p["stem.w"].dtype)
+    return Tensor(tokens), p["cond.null_pooled"]
+
+
+def stack_conds(conds) -> tuple:
+    """Stack (tokens, pooled) pairs, in order, along a new leading batch
+    axis; the result is untracked, for inference."""
+    return tuple(Tensor(np.stack([c[i].data for c in conds])) for i in (0, 1))
+
+
 def unet_forward(x_t, t: int, cond, params: ModelParams,
                  sched: Schedule) -> Tensor:
-    """Predict v for a noised latent x_t (in_channels, L) at timestep t.
+    """Predict v for a noised latent x_t (..., in_channels, L) at timestep t.
 
-    cond is the (tokens, pooled) pair from encode_vocal, or None for the
-    unconditional (classifier-free) pass, which substitutes zero tokens and
-    the learned null pooled vector.
+    Leading axes of x_t batch items that share t.  cond is the (tokens,
+    pooled) pair from encode_vocal, stacked to tokens (..., Lt, D) and
+    pooled (..., D) for a batch, or None for the unconditional pass, which
+    substitutes ``null_cond``.
     """
     cfg = params.config
     p = params.tensors
@@ -306,24 +326,19 @@ def unet_forward(x_t, t: int, cond, params: ModelParams,
     d = cfg.time_embed_dim
     if not isinstance(x_t, Tensor):
         x_t = Tensor(np.asarray(x_t).astype(p["stem.w"].dtype))
-    if x_t.data.ndim != 2 or x_t.shape[0] != cfg.in_channels:
+    if x_t.data.ndim < 2 or x_t.shape[-2] != cfg.in_channels:
         raise DimensionError(
-            f"input shape {x_t.shape} != ({cfg.in_channels}, L)"
+            f"input shape {x_t.shape} != (..., {cfg.in_channels}, L)"
         )
-    length = x_t.shape[1]
+    length = x_t.shape[-1]
     if length % 8:
         raise ConfigurationError(f"length {length} must be divisible by 8")
 
-    if cond is None:
-        tokens = Tensor(np.zeros((max(length // 4, 1), d),
-                                 p["stem.w"].dtype))
-        pooled = p["cond.null_pooled"]
-    else:
-        tokens, pooled = cond
+    tokens, pooled = null_cond(params, x_t.shape) if cond is None else cond
     temb = timestep_embedding(t, d, params)
-    pp = add(matmul(reshape(pooled, (1, d)), p["cond.pool_proj.w"]),
-             p["cond.pool_proj.b"])
-    cond_vec = add(temb, reshape(pp, (d,)))
+    pp = add(matmul(reshape(pooled, pooled.shape[:-1] + (1, d)),
+                    p["cond.pool_proj.w"]), p["cond.pool_proj.b"])
+    cond_vec = add(temb, reshape(pp, pooled.shape))
 
     def res(h, prefix):
         # modulation sits between the nonlinearity and each conv; putting it
@@ -374,7 +389,7 @@ def unet_forward(x_t, t: int, cond, params: ModelParams,
 
     for i in reversed(range(3)):
         h = resample(h, f"up{i}.", transposed=True)
-        h = res(concat([h, skips[i]], axis=0), f"dec{i}.res.")
+        h = res(concat([h, skips[i]], axis=-2), f"dec{i}.res.")
 
     h = group_norm(h, groups, p["head.gn.gamma"], p["head.gn.beta"])
     h = silu(h)

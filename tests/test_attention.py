@@ -334,6 +334,19 @@ def test_soft_align_shape_and_validation(sched, small_cfg, small_params):
                              small_cfg, small_params, sched)
 
 
+def test_soft_align_batch_equals_per_item_calls(sched, small_cfg,
+                                                small_params):
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((2, small_cfg.model_dim, 16))
+    out = soft_align_attention(Tensor(x), 400, small_cfg, small_params,
+                               sched).data
+    want = np.stack([soft_align_attention(Tensor(xi), 400, small_cfg,
+                                          small_params, sched).data
+                     for xi in x])
+    assert out.shape == want.shape
+    assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_attention_config_validation():
     with pytest.raises(ConfigurationError):
         AttentionConfig(heads=0)
@@ -377,6 +390,25 @@ def test_cross_attention_matches_per_head_oracle():
     want = (np.concatenate(ctx, axis=1) @ p["out.w"] + p["out.b"]).T
     assert out.shape == (c_mid, 12)
     assert np.max(np.abs(out - want)) <= 1e-12
+
+
+def test_cross_attention_batch_equals_per_item_calls():
+    # non-zero tokens, so the softmax is not uniform and the per-head scale
+    # matters: it must come from the channel axis, not axis 1, which holds
+    # the length (12, not the 32 channels) once a batch axis leads
+    params = init_model_params(UNetConfig.for_width(1 / 16), seed=4,
+                               dtype=np.float64)
+    rng = np.random.default_rng(30)
+    c_mid, d = params.config.channels[-1], params.config.time_embed_dim
+    x = rng.standard_normal((2, c_mid, 12))
+    tokens = rng.standard_normal((2, 3, d))
+    out = cross_attention(Tensor(x), Tensor(tokens), params,
+                          "mid.cross.").data
+    want = np.stack([cross_attention(Tensor(xi), Tensor(ti), params,
+                                     "mid.cross.").data
+                     for xi, ti in zip(x, tokens)])
+    assert out.shape == want.shape == (2, c_mid, 12)
+    assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ------------------------------------------------------------ gradients

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from vocaldiff import load_checkpoint, read_pair, save_checkpoint
+from vocaldiff import (build_cosine_schedule, encode_vocal, forward_diffuse,
+                       load_checkpoint, read_pair, save_checkpoint,
+                       unet_forward)
 from vocaldiff.cli import main
+from vocaldiff.rng import substream
 
 
 def run_gen(dirpath, count=4, length=16, seed=0):
@@ -134,6 +137,33 @@ def test_analyze_writes_spread_profile(tmp_path, trained, capsys):
     assert rows[0] == "t,std_v"
     assert len(rows) == 21
     assert all(float(r.split(",")[1]) >= 0.0 for r in rows[1:])
+
+
+def test_analyze_matches_a_per_pair_computation(tmp_path, trained):
+    # analyze runs all pairs as one batch per timestep; the profile must be
+    # the per-pair one, drawn in the same order, up to float32 rounding in
+    # the batched GEMMs (1e-5 is about 80 float32 epsilons)
+    csv = tmp_path / "spread.csv"
+    assert main(["analyze", "--ckpt", str(trained["ckpt"]),
+                 "--data", str(trained["data"]), "--csv", str(csv),
+                 "--count", "3", "--seed", "5"]) == 0
+    got = [float(r.split(",")[1])
+           for r in csv.read_text().strip().splitlines()[1:]]
+
+    params, _, _ = load_checkpoint(trained["ckpt"])
+    pairs = [read_pair(p) for p in sorted(trained["data"].glob("*.vlat"))[:3]]
+    sched = build_cosine_schedule(20)
+    rng = substream(5, "analyze")
+    conds = [encode_vocal(p.z_v, params) for p in pairs]
+    want = []
+    for t in range(1, 21):
+        values = []
+        for pair, cond in zip(pairs, conds):
+            eps = rng.standard_normal(pair.z_a.shape).astype(np.float32)
+            x_t = forward_diffuse(pair.z_a, eps, t, sched)
+            values.append(unet_forward(x_t, t, cond, params, sched).data)
+        want.append(float(np.concatenate(values, axis=None).std()))
+    np.testing.assert_allclose(got, want, rtol=1e-5)
 
 
 def test_bench_reports_timings_and_exponents(tmp_path, capsys):

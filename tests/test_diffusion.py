@@ -5,10 +5,12 @@ import gc
 import numpy as np
 import pytest
 
+import vocaldiff.diffusion
 from vocaldiff import (AdamWState, Schedule, TrainConfig, UNetConfig,
                        build_cosine_schedule, cfg_combine, ddpm_sample,
-                       gen_pair, init_model_params, loss_snr, recover_eps,
-                       recover_x0, train_step, unet_forward, v_target)
+                       encode_vocal, gen_pair, init_model_params, loss_snr,
+                       recover_eps, recover_x0, train_step, unet_forward,
+                       v_target)
 from vocaldiff.errors import (ConfigurationError, ContractError,
                               DimensionError, VocalDiffError)
 from vocaldiff.tensor import Tape, Tensor
@@ -328,6 +330,83 @@ def test_guidance_zero_equals_unconditional_chain():
                             np.random.default_rng(13),
                             denoise_fn=uncond_only)
     assert np.array_equal(guided, manual)
+
+
+def test_guidance_one_equals_conditional_chain():
+    # with g = 1 the guided sampler must be bit-identical to a chain that
+    # only ever evaluates the conditional branch
+    timesteps = 10
+    sched = build_cosine_schedule(timesteps)
+    params = init_model_params(UNetConfig.for_width(1 / 16), seed=11,
+                               zero_init_head=False)
+    z_v = np.random.default_rng(6).standard_normal((64, 16)).astype(np.float32)
+
+    guided, _ = ddpm_sample(z_v, params,
+                            TrainConfig(timesteps=timesteps,
+                                        guidance_scale=1.0),
+                            sched, np.random.default_rng(13))
+    cond = encode_vocal(z_v, params)
+
+    def cond_only(x_t, t):
+        return unet_forward(x_t, t, cond, params, sched).data
+
+    manual, _ = ddpm_sample(z_v, params,
+                            TrainConfig(timesteps=timesteps,
+                                        guidance_scale=3.0),
+                            sched, np.random.default_rng(13),
+                            denoise_fn=cond_only)
+    assert np.array_equal(guided, manual)
+
+
+class _CountingRng:
+    """Generator proxy that counts ``standard_normal`` draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws += 1
+        return self._rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_guided_step_is_one_unet_call_and_one_noise_draw(monkeypatch):
+    # g = 3 runs both branches as one batch of 2 per reverse step, and the
+    # chain draws x_T plus one noise block per step but the last: T draws,
+    # which is what the benchmark times reverse steps by
+    timesteps = 10
+    sched = build_cosine_schedule(timesteps)
+    params = init_model_params(UNetConfig.for_width(1 / 16), seed=11,
+                               zero_init_head=False, dtype=np.float64)
+    z_v = np.random.default_rng(6).standard_normal((64, 16)).astype(np.float32)
+    cfg = TrainConfig(timesteps=timesteps, guidance_scale=3.0)
+    shapes = []
+
+    def counting_forward(x_t, *args):
+        shapes.append(np.shape(x_t))
+        return unet_forward(x_t, *args)
+
+    monkeypatch.setattr(vocaldiff.diffusion, "unet_forward", counting_forward)
+    rng = _CountingRng(13)
+    guided, _ = ddpm_sample(z_v, params, cfg, sched, rng)
+    assert shapes == [(2, 64, 16)] * timesteps
+    assert rng.draws == timesteps
+
+    # the same chain from one call per branch: only float32 rounding of the
+    # state between steps may differ (the network itself runs in float64)
+    cond = encode_vocal(z_v, params)
+
+    def two_calls(x_t, t):
+        return cfg_combine(unet_forward(x_t, t, cond, params, sched).data,
+                           unet_forward(x_t, t, None, params, sched).data,
+                           cfg.guidance_scale)
+
+    manual, _ = ddpm_sample(z_v, params, cfg, sched, _CountingRng(13),
+                            denoise_fn=two_calls)
+    assert np.max(np.abs(guided - manual)) <= 1e-5
 
 
 def test_sampler_input_validation(sched):

@@ -12,6 +12,9 @@ from vocaldiff.tensor import (Tape, Tensor, _apply, add, backward, concat,
                               tensor_mean, tensor_sum, transpose)
 
 GRAD_TOL = 1e-4  # primitives, float64, eps 1e-3
+BATCH_TOL = 1e-12  # batched vs per-item calls, float64, relative
+# (stride, padding, K) of the convolution checks
+CONV_CASES = ((1, 1, 3), (2, 1, 3), (1, 0, 3), (2, 0, 4), (2, 1, 4))
 
 
 def t64(rng, *shape):
@@ -21,6 +24,14 @@ def t64(rng, *shape):
 def grad_of(f, *params):
     named = {f"p{i}": p for i, p in enumerate(params)}
     return check_gradients(f, named)
+
+
+def batch_rel_dev(batched, items):
+    """Largest deviation of a batched result from the stacked per-item
+    results, relative to their largest magnitude."""
+    want = np.stack(items)
+    assert batched.shape == want.shape
+    return np.max(np.abs(batched - want)) / np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------- values
@@ -90,8 +101,7 @@ def test_matmul_shape_error(rng):
 
 def test_conv1d_matches_direct_loop(rng):
     c_in, c_out, length = 3, 5, 11
-    for stride, pad, k in ((1, 1, 3), (2, 1, 3), (1, 0, 3), (2, 0, 4),
-                           (2, 1, 4)):
+    for stride, pad, k in CONV_CASES:
         x = rng.standard_normal((c_in, length))
         w = rng.standard_normal((c_out, c_in, k))
         b = rng.standard_normal(c_out)
@@ -150,6 +160,34 @@ def test_group_norm_statistics(rng):
     grouped = out.reshape(4, 2 * 20)
     assert np.max(np.abs(grouped.mean(axis=1))) < 1e-7
     assert np.max(np.abs(grouped.std(axis=1) - 1.0)) < 1e-4
+
+
+def test_batched_conv_and_group_norm_equal_per_item_calls(rng):
+    # a leading batch axis holds independent inputs: item i of the batched
+    # call is the unbatched call on item i
+    x = rng.standard_normal((2, 3, 11))
+    for stride, pad, k in CONV_CASES:
+        w, b = Tensor(rng.standard_normal((5, 3, k))), Tensor(
+            rng.standard_normal(5))
+        out = conv1d(Tensor(x), w, b, stride=stride, padding=pad).data
+        items = [conv1d(Tensor(xi), w, b, stride=stride, padding=pad).data
+                 for xi in x]
+        assert batch_rel_dev(out, items) <= BATCH_TOL, (stride, pad, k)
+        w, b = Tensor(rng.standard_normal((3, 5, k))), Tensor(
+            rng.standard_normal(5))
+        out = conv_transpose1d(Tensor(x), w, b, stride=stride,
+                               padding=pad).data
+        items = [conv_transpose1d(Tensor(xi), w, b, stride=stride,
+                                  padding=pad).data for xi in x]
+        assert batch_rel_dev(out, items) <= BATCH_TOL, (stride, pad, k)
+    # items with different statistics: pooling them would shift both
+    x = rng.standard_normal((2, 6, 10)) * np.array([1.0, 4.0])[:, None, None]
+    x[1] += 3.0
+    gamma, beta = Tensor(rng.standard_normal(6)), Tensor(
+        rng.standard_normal(6))
+    out = group_norm(Tensor(x), 3, gamma, beta).data
+    items = [group_norm(Tensor(xi), 3, gamma, beta).data for xi in x]
+    assert batch_rel_dev(out, items) <= BATCH_TOL
 
 
 def test_scalar_zero_dim_results_stay_float64():
@@ -233,6 +271,52 @@ def test_grad_group_norm(rng):
     m = Tensor(rng.standard_normal((6, 10)))
     errs = grad_of(lambda: tensor_sum(group_norm(x, 3, gamma, beta) * m),
                    x, gamma, beta)
+    assert max(errs.values()) < GRAD_TOL
+
+
+def test_grad_batched_matmul_conv_and_group_norm(rng):
+    # each weight's gradient sums the contributions of both batch items
+    a, b = t64(rng, 2, 4, 6), t64(rng, 6, 3)
+    m = Tensor(rng.standard_normal((2, 4, 3)))
+    errs = grad_of(lambda: tensor_sum(matmul(a, b) * m), a, b)
+    assert max(errs.values()) < GRAD_TOL
+
+    x, w, b = t64(rng, 2, 3, 12), t64(rng, 5, 3, 3), t64(rng, 5)
+    m = Tensor(rng.standard_normal((2, 5, 6)))
+    errs = grad_of(
+        lambda: tensor_sum(conv1d(x, w, b, stride=2, padding=1) * m),
+        x, w, b)
+    assert max(errs.values()) < GRAD_TOL
+
+    x, w, b = t64(rng, 2, 5, 6), t64(rng, 5, 3, 4), t64(rng, 3)
+    m = Tensor(rng.standard_normal((2, 3, 12)))
+    errs = grad_of(
+        lambda: tensor_sum(conv_transpose1d(x, w, b, stride=2, padding=1) * m),
+        x, w, b)
+    assert max(errs.values()) < GRAD_TOL
+
+    x = t64(rng, 2, 6, 10)
+    gamma = Tensor(rng.standard_normal(6), requires_grad=True)
+    beta = Tensor(rng.standard_normal(6), requires_grad=True)
+    m = Tensor(rng.standard_normal((2, 6, 10)))
+    errs = grad_of(lambda: tensor_sum(group_norm(x, 3, gamma, beta) * m),
+                   x, gamma, beta)
+    assert max(errs.values()) < GRAD_TOL
+
+
+def test_grad_batched_transpose_concat_narrow(rng):
+    # transpose swaps the last two axes; the U-Net joins and splits
+    # channels on axis -2
+    a, b = t64(rng, 2, 4, 6), t64(rng, 2, 3, 6)
+    m = Tensor(rng.standard_normal((2, 6, 5)))
+
+    def loss():
+        joined = concat([a, b], axis=-2)         # (2, 7, 6)
+        return tensor_sum(transpose(narrow(joined, -2, 1, 5)) * m)
+
+    assert transpose(a).shape == (2, 6, 4)
+    assert np.array_equal(transpose(a).data, a.data.swapaxes(1, 2))
+    errs = grad_of(loss, a, b)
     assert max(errs.values()) < GRAD_TOL
 
 

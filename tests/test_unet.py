@@ -9,6 +9,7 @@ from vocaldiff import (ModelParams, UNetConfig, encode_vocal, film,
 from vocaldiff.errors import ConfigurationError, ContractError, DimensionError
 from vocaldiff.gradcheck import check_gradients
 from vocaldiff.tensor import Tape, Tensor, add, backward, mul, tensor_sum
+from vocaldiff.unet import stack_conds
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,24 @@ def test_forward_input_validation(tiny_cfg, live_params, sched):
     with pytest.raises(DimensionError):
         unet_forward(Tensor(rng.standard_normal((63, 16))), 10, None,
                      live_params, sched)
+
+
+def test_forward_batch_equals_per_item_calls(tiny_cfg, sched):
+    # two items, each with its own non-zero vocal tokens, in one call; and
+    # the unconditional pass of the same batch
+    params = init_model_params(tiny_cfg, seed=3, zero_init_head=False,
+                               dtype=np.float64)
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((2, 64, 16))
+    conds = [encode_vocal(rng.standard_normal((64, 16)), params)
+             for _ in range(2)]
+    for cond, item_conds in ((stack_conds(conds), conds),
+                             (None, [None, None])):
+        out = unet_forward(x, 400, cond, params, sched).data
+        want = np.stack([unet_forward(xi, 400, ci, params, sched).data
+                         for xi, ci in zip(x, item_conds)])
+        assert out.shape == want.shape == (2, 64, 16)
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_zero_init_head_gives_exactly_zero_output(tiny_cfg, sched):
@@ -174,6 +193,19 @@ def test_film_shift_offsets_channels():
     out = film(x, cv, w, b).data
     assert np.array_equal(out, np.array([1.0, 2.0, 3.0])[:, None]
                           * np.ones((1, 5)))
+
+
+def test_film_batch_equals_per_item_calls():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 6, 10))
+    cv = rng.standard_normal((2, 4))
+    w = Tensor(rng.standard_normal((4, 12)))
+    b = Tensor(rng.standard_normal(12))
+    out = film(Tensor(x), Tensor(cv), w, b).data
+    want = np.stack([film(Tensor(xi), Tensor(ci), w, b).data
+                     for xi, ci in zip(x, cv)])
+    assert out.shape == want.shape
+    assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_film_validates_affine_shapes():
