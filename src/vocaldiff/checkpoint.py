@@ -69,6 +69,19 @@ def unet_config_from(cfg: dict) -> UNetConfig:
             f"checkpoint config missing or malformed: {exc}") from exc
 
 
+def int_setting(cfg: dict, key: str, default=None):
+    """Integer run setting ``key`` of a checkpoint config, ``default`` if
+    absent; a malformed value raises ConfigurationError naming the key."""
+    if key not in cfg:
+        return default
+    try:
+        return int(cfg[key])
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"checkpoint config {key}={cfg[key]!r} is not an integer"
+        ) from exc
+
+
 def save_checkpoint(path, params: ModelParams, step: int,
                     train_cfg=None, extra=None) -> None:
     """Atomic write of params + config + step."""

@@ -20,7 +20,7 @@ import numpy as np
 from .attention import (AttentionConfig, global_attention,
                         init_attention_params, local_attention,
                         soft_align_attention)
-from .checkpoint import load_checkpoint
+from .checkpoint import int_setting, load_checkpoint
 from .diffusion import TrainConfig, ddpm_sample
 from .errors import ConfigurationError, VocalDiffError
 from .fileio import atomic_write
@@ -102,13 +102,13 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     params, cfg_map, _ = load_checkpoint(args.ckpt)
     vocal = read_pair(args.vocal)
-    expected = cfg_map.get("length")
-    if expected is not None and int(expected) != vocal.length:
+    expected = int_setting(cfg_map, "length")
+    if expected is not None and expected != vocal.length:
         raise ConfigurationError(
             f"checkpoint was trained at length {expected}, vocal file has "
             f"{vocal.length}"
         )
-    timesteps = int(cfg_map.get("timesteps", 800))
+    timesteps = int_setting(cfg_map, "timesteps", 800)
     cfg = TrainConfig(guidance_scale=args.guidance, timesteps=timesteps,
                       seed=args.seed)
     sched = build_cosine_schedule(timesteps)
@@ -128,7 +128,7 @@ def _time_call(fn, reps: int) -> np.ndarray:
     """Nanoseconds of each of ``reps`` calls, after one warm-up call."""
     fn()  # warmup
     times = []
-    for _ in range(max(reps, 1)):
+    for _ in range(reps):
         t0 = time.perf_counter_ns()
         fn()
         times.append(time.perf_counter_ns() - t0)
@@ -142,6 +142,12 @@ def _fit_exponent(lengths, times) -> float:
 
 
 def cmd_bench(args) -> int:
+    if args.length < 4:
+        raise ConfigurationError(
+            f"--length must be >= 4 (it is split in quarters), got "
+            f"{args.length}")
+    if args.reps < 1:
+        raise ConfigurationError(f"--reps must be >= 1, got {args.reps}")
     lengths = [args.length // 4, args.length // 2, args.length]
     rng = substream(args.seed, "bench")
     acfg = AttentionConfig(heads=args.heads, head_dim=args.head_dim,
@@ -209,11 +215,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.count < 1:
+        raise ConfigurationError(f"--count must be >= 1, got {args.count}")
     params, cfg_map, _ = load_checkpoint(args.ckpt)
     pairs = _load_pairs(args.data, limit=args.count)
     if not pairs:
         raise ConfigurationError(f"{args.data} holds no .vlat pairs")
-    timesteps = int(cfg_map.get("timesteps", 800))
+    timesteps = int_setting(cfg_map, "timesteps", 800)
     sched = build_cosine_schedule(timesteps)
     rng = substream(args.seed, "analyze")
     # all pairs run as one batch per timestep, each with its own vocal

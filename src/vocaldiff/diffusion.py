@@ -33,7 +33,8 @@ class TrainConfig:
     # The SNR weight spans ~8 orders of magnitude over uniform t draws, so
     # batch gradients are heavy-tailed; rare low-t spikes inflate Adam's
     # second moment for ~1/(1-beta2) steps and stall every parameter.
-    # Clipping at the typical gradient norm keeps step sizes uniform.
+    # Clipping at the typical gradient norm keeps step sizes uniform;
+    # math.inf turns clipping off.
     max_grad_norm: float = 0.1
 
     def __post_init__(self):
@@ -50,6 +51,10 @@ class TrainConfig:
         if not 0.0 <= self.lr < np.inf:
             raise ConfigurationError(
                 f"lr must be finite and >= 0, got {self.lr}")
+        if not self.max_grad_norm > 0.0:
+            raise ConfigurationError(
+                f"max_grad_norm must be > 0 (inf for no clipping), got "
+                f"{self.max_grad_norm}")
 
 
 def _as_array(x) -> np.ndarray:
@@ -172,8 +177,7 @@ def train_step(batch, params: ModelParams, opt_state: AdamWState,
         # than when the next step's forward pass registers p again
         p._tape = p.node_id = None
     loss_value = loss.item()
-    norm = (clip_grad_norm(grads, cfg.max_grad_norm)
-            if cfg.max_grad_norm > 0 else 0.0)
+    norm = clip_grad_norm(grads, cfg.max_grad_norm)
     if not np.isfinite((loss_value, norm)).all():
         bad = next((name for name, g in grads.items()
                     if not np.isfinite(g.data).all()), None)

@@ -71,12 +71,13 @@ def check_gradients(f: Callable[[], Tensor], params: dict[str, Tensor],
     """
     for t in params.values():
         t.requires_grad = True
-    with Tape():
+    with Tape() as tape:
         loss = f()
         grads = backward(loss)
     errors = {}
     for name, t in params.items():
-        entry = grads.get(t.node_id) if t.node_id is not None else None
+        # a node id left over from an earlier tape names another node here
+        entry = grads.get(t.node_id) if t._tape is tape else None
         if entry is None:
             # parameter never entered the graph; analytic gradient is zero
             # and the numeric probe below verifies that independently

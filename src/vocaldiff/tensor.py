@@ -1,11 +1,16 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 A ``Tensor`` wraps a numpy array (float32 by default, float64 for the
-gradient-check tooling).  While a ``Tape`` is active, every primitive that
-touches a grad-requiring tensor records itself onto the tape; ``backward``
-replays the records in reverse and returns a gradient for every leaf that
-requested one.  With no tape active the same primitives run as plain numpy,
-so inference costs nothing extra.
+gradient-check tooling).  One rule decides what a tape tracks: a tensor is
+tracked by a tape if and only if it has a node on that tape.  A tensor
+created with ``requires_grad=True`` is a leaf that wants a gradient; the
+active tape gives it a node the first time a primitive reads it.  A
+primitive records itself, and gives its output a node, only when some input
+has a node on the active tape; op outputs never carry ``requires_grad``.
+``backward`` replays the records in reverse and returns a gradient for
+every leaf the loss depends on.  With no tape active the primitives run as
+plain numpy and do no autodiff bookkeeping, so a value computed there is a
+constant to any later tape.
 
 Only the operations the model actually needs are provided; broadcasting is
 supported for the elementwise ops (gradients are summed back to the input
@@ -63,7 +68,6 @@ class Tape:
     def __init__(self):
         self._records: list[_Record] = []
         self._next_id = 0
-        self._leaf_ids: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -76,12 +80,17 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _register_leaf(self, tensor: "Tensor") -> Optional[int]:
+    def _node(self, tensor: "Tensor") -> Optional[int]:
+        """The tensor's node on this tape, or None if it is a constant here.
+
+        A grad-requiring tensor not yet on this tape becomes a leaf node.
+        """
+        if tensor._tape is self:
+            return tensor.node_id
         if not tensor.requires_grad:
             return None
         node_id = self._next_id
         self._next_id += 1
-        self._leaf_ids.add(node_id)
         tensor.node_id = node_id
         tensor._tape = self
         return node_id
@@ -94,7 +103,7 @@ class Tape:
 
     def gradients(self, loss: "Tensor") -> dict[int, "Tensor"]:
         """Reverse sweep from ``loss``; see the module-level ``backward``."""
-        if loss._tape is not self or loss.node_id is None:
+        if loss._tape is not self:
             raise ContractError("loss is not connected to this tape")
         if loss.data.size != 1:
             raise ContractError(
@@ -125,11 +134,9 @@ class Tape:
                     # cannot be added into
                     grads[in_id] = np.asarray(acc + gin)
                     owned.add(in_id)
-        return {
-            node_id: Tensor(g)
-            for node_id, g in grads.items()
-            if node_id in self._leaf_ids
-        }
+        # each record is visited after every record that reads its output
+        # and pops its own entry, so only leaves, which have no record, remain
+        return {node_id: Tensor(g) for node_id, g in grads.items()}
 
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
@@ -175,12 +182,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         grad = ", requires_grad=True" if self.requires_grad else ""
@@ -230,28 +231,13 @@ def _wrap(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-def _node_ids(tape: Optional[Tape], *tensors: Tensor):
-    """Node ids of the inputs under ``tape``; registers leaves on first use."""
-    ids = []
-    for t in tensors:
-        if t._tape is tape and t.node_id is not None:
-            ids.append(t.node_id)
-        elif t.requires_grad and tape is not None:
-            ids.append(tape._register_leaf(t))
-        else:
-            ids.append(None)
-    return ids
-
-
 def _apply(out_data: np.ndarray, inputs: Sequence[Tensor],
            backward: Callable) -> Tensor:
-    """Wrap an op result, recording it when a tape is live for its inputs."""
+    """Wrap an op result, recording it when an input is on the active tape."""
+    out = Tensor(out_data)
     tape = active_tape()
-    needs = any(t.requires_grad or (t._tape is tape and t.node_id is not None)
-                for t in inputs)
-    out = Tensor(out_data, requires_grad=needs)
-    if tape is not None and needs:
-        in_ids = _node_ids(tape, *inputs)
+    if tape is not None:
+        in_ids = [tape._node(t) for t in inputs]
         if any(i is not None for i in in_ids):
             out.node_id = tape._record(in_ids, backward)
             out._tape = tape
@@ -611,11 +597,14 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> dict[int, Tensor]:
-    """Gradients of a scalar ``loss`` for every grad-requiring leaf.
+    """Gradients of a scalar ``loss`` for every leaf it depends on.
 
-    Returns {node_id -> gradient Tensor}; look leaves up by their
-    ``node_id`` assigned during the taped forward pass.  Fan-out is
-    accumulated; tensors with requires_grad=False never appear.
+    Returns {node_id -> gradient Tensor}, keyed by exactly the node ids of
+    the grad-requiring leaves that reached the loss on its tape; look a leaf
+    up by the ``node_id`` it got there, after checking that its ``_tape`` is
+    that tape.  Fan-out is accumulated.  Constants (tensors with no node on
+    the tape: untracked inputs, and values computed with no tape active)
+    never appear.
     """
     tape = loss._tape
     if tape is None:

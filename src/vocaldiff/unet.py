@@ -27,6 +27,14 @@ from .tensor import (Tensor, add, concat, conv1d, conv_transpose1d,
                      tensor_mean, transpose)
 
 
+def _scaled(ladder: tuple, width_mult: float) -> tuple:
+    """The channel ladder scaled by width_mult, every stage at least 1."""
+    if not 0.0 < width_mult < math.inf:
+        raise ConfigurationError(
+            f"width_mult must be finite and > 0, got {width_mult}")
+    return tuple(max(1, int(round(c * width_mult))) for c in ladder)
+
+
 @dataclass(frozen=True)
 class UNetConfig:
     in_channels: int = 64
@@ -61,8 +69,7 @@ class UNetConfig:
 
     @property
     def channels(self) -> tuple:
-        return tuple(max(1, int(round(c * self.width_mult)))
-                     for c in self.channel_ladder)
+        return _scaled(self.channel_ladder, self.width_mult)
 
     @property
     def attention(self) -> AttentionConfig:
@@ -72,9 +79,10 @@ class UNetConfig:
 
     @classmethod
     def for_width(cls, width_mult: float = 1.0, **overrides) -> "UNetConfig":
-        """Config scaled to width_mult, with groups and embed dim re-derived."""
-        chans = tuple(max(1, int(round(c * width_mult)))
-                      for c in (64, 128, 256, 512))
+        """Config scaled to width_mult, with groups and embed dim re-derived
+        from the scaled channel ladder (the default or an override)."""
+        chans = _scaled(overrides.get("channel_ladder", cls.channel_ladder),
+                        width_mult)
         groups = next(g for g in (8, 4, 2, 1)
                       if all(c % g == 0 for c in chans))
         overrides.setdefault("groups", groups)

@@ -223,3 +223,50 @@ def test_train_rejects_a_bad_learning_rate(tmp_path, capsys):
         assert main(argv) == 1
         assert "lr must be finite" in capsys.readouterr().err
         assert not ckpt.exists()
+
+
+def test_bad_option_values_are_one_line_errors(tmp_path, trained, capsys):
+    data, ckpt = str(trained["data"]), str(trained["ckpt"])
+    cases = [(["train", "--data", data, "--steps", "1", "--batch", "2",
+               "--length", "16", "--width-mult", width,
+               "--out", str(tmp_path / "m.vdif"),
+               "--log", str(tmp_path / "l.csv")], "width_mult")
+             for width in ("nan", "inf", "0")]
+    cases += [(["bench", "--length", length], "--length")
+              for length in ("0", "3")]
+    cases += [(["bench", "--length", "8", "--reps", "0"], "--reps")]
+    cases += [(["analyze", "--ckpt", ckpt, "--data", data, "--count", count,
+                "--csv", str(tmp_path / "s.csv")], "--count")
+              for count in ("-1", "0")]
+    for argv, key in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert key in err
+    assert not (tmp_path / "m.vdif").exists()
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sample_and_analyze_reject_malformed_run_settings(
+        tmp_path, trained, capsys):
+    params, _, _ = load_checkpoint(trained["ckpt"])
+    vocal = sorted(trained["data"].glob("*.vlat"))[0]
+    for extra, commands in (({"length": 16, "timesteps": "abc"},
+                             ("sample", "analyze")),
+                            ({"length": "x16", "timesteps": 20},
+                             ("sample",))):
+        bad = tmp_path / "bad.vdif"
+        save_checkpoint(bad, params, step=0, extra=extra)
+        key, value = next((k, v) for k, v in extra.items()
+                          if isinstance(v, str))
+        argv = {"sample": ["sample", "--ckpt", str(bad), "--vocal",
+                           str(vocal), "--out", str(tmp_path / "x.vlat"),
+                           "--trace", str(tmp_path / "t.csv")],
+                "analyze": ["analyze", "--ckpt", str(bad),
+                            "--data", str(trained["data"]),
+                            "--csv", str(tmp_path / "s.csv")]}
+        for command in commands:
+            assert main(argv[command]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert f"{key}={value!r}" in err

@@ -1,6 +1,8 @@
 """Diffusion algebra: targets, inversions, weighted loss, guidance, sampler."""
 
+import dataclasses
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from vocaldiff import (AdamWState, Schedule, TrainConfig, UNetConfig,
                        v_target)
 from vocaldiff.errors import (ConfigurationError, ContractError,
                               DimensionError, VocalDiffError)
-from vocaldiff.tensor import Tape, Tensor
+from vocaldiff.tensor import Tape, Tensor, backward
 
 
 def unit_snr_schedule():
@@ -160,6 +162,10 @@ def test_train_config_validation():
         with pytest.raises(ConfigurationError, match="lr"):
             TrainConfig(lr=lr)
     assert TrainConfig(lr=0.0).lr == 0.0
+    for norm in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="max_grad_norm"):
+            TrainConfig(max_grad_norm=norm)
+    assert TrainConfig(max_grad_norm=math.inf).max_grad_norm == math.inf
 
 
 # ------------------------------------------------------------ training
@@ -222,19 +228,42 @@ def test_train_step_input_validation():
                    build_cosine_schedule(80), rng)
 
 
-def test_train_step_stops_on_a_non_finite_step():
-    cfg, params, sched, pairs = tiny_setup()
+def _assert_step_stops_untouched(cfg, params, sched, pairs, message):
     state = AdamWState(params.tensors)
-    params["stem.w"].data[0, 0, 0] = np.nan
     before = {name: t.data.copy() for name, t in params.items()}
-    rng = np.random.default_rng(5)
-    with pytest.raises(VocalDiffError, match=r"step 1:.*gradient stem\.w"):
-        train_step(pairs[:2], params, state, cfg, sched, rng)
+    with pytest.raises(VocalDiffError, match=message):
+        train_step(pairs[:2], params, state, cfg, sched,
+                   np.random.default_rng(5))
     for name, t in params.items():
         assert np.array_equal(t.data, before[name], equal_nan=True), name
     assert state.step == 0
     assert not any(m.any() for m in state.m.values())
     assert not any(v.any() for v in state.v.values())
+
+
+def test_train_step_stops_on_a_non_finite_step():
+    cfg, params, sched, pairs = tiny_setup()
+    params["stem.w"].data[0, 0, 0] = np.nan
+    _assert_step_stops_untouched(cfg, params, sched, pairs,
+                                 r"step 1:.*gradient stem\.w")
+
+
+def test_unclipped_step_still_stops_on_a_non_finite_gradient(monkeypatch):
+    # clipping off (inf) still measures the norm, so a non-finite gradient
+    # under a finite loss is caught before AdamW
+    cfg, params, sched, pairs = tiny_setup()
+    stem = params["stem.w"]
+
+    def poisoned_backward(loss):
+        grads = backward(loss)
+        grads[stem.node_id].data[0, 0, 0] = np.inf
+        return grads
+
+    monkeypatch.setattr(vocaldiff.diffusion, "backward", poisoned_backward)
+    _assert_step_stops_untouched(
+        dataclasses.replace(cfg, max_grad_norm=math.inf), params, sched,
+        pairs, r"step 1: loss [-0-9.e]+, gradient norm inf, .*gradient "
+        r"stem\.w")
 
 
 def test_train_step_releases_its_tape():

@@ -224,6 +224,55 @@ def test_backward_needs_scalar(rng):
             backward(y)
 
 
+# ------------------------------------------------------------ tape rule
+# a tensor is tracked by a tape if and only if it has a node on that tape
+
+def test_untaped_result_is_a_constant_to_a_later_tape(rng):
+    x = t64(rng, 3, 4)
+    y = x * 2.0  # no tape active
+    assert not y.requires_grad and y._tape is None and y.node_id is None
+    with Tape() as tape:
+        z = y * 3.0
+        assert len(tape) == 0 and z._tape is None
+        loss = tensor_sum(y * x)
+        assert not loss.requires_grad
+        grads = backward(loss)
+    assert set(grads) == {x.node_id}
+    assert rel_error(grads[x.node_id].data, y.data) < 1e-12
+    assert y._tape is None
+
+
+def test_op_on_untracked_inputs_records_nothing(rng):
+    a, b = (Tensor(rng.standard_normal((2, 3))) for _ in range(2))
+    with Tape() as tape:
+        c = tensor_sum(matmul(a, transpose(b)) * 2.0 + 1.0)
+    assert len(tape) == 0
+    assert c._tape is None and not c.requires_grad
+
+
+def test_gradient_keys_are_the_leaves_used(rng):
+    a, b, c, unused = (t64(rng, 2, 3) for _ in range(4))
+    m = Tensor(rng.standard_normal((2, 3)))
+    with Tape() as tape:
+        h = a * b + m
+        loss = tensor_sum(h * c + h)
+        assert len(tape) > 0
+        grads = backward(loss)
+    assert set(grads) == {a.node_id, b.node_id, c.node_id}
+    assert unused._tape is None and m._tape is None
+
+
+def test_check_gradients_ignores_node_ids_of_an_earlier_tape(rng):
+    # the second loss reads only b, which becomes node 0 on its tape; a
+    # still holds node 0 from the first tape and must not read b's gradient
+    a, b = t64(rng, 3), t64(rng, 3)
+    params = {"a": a, "b": b}
+    assert max(check_gradients(lambda: tensor_sum(a * b),
+                               params).values()) < GRAD_TOL
+    errs = check_gradients(lambda: tensor_sum(b * b), params)
+    assert max(errs.values()) < GRAD_TOL
+
+
 # ------------------------------------------------------------- gradients
 
 def test_grad_elementwise_chain(rng):

@@ -38,6 +38,11 @@ def test_width_scaling_rederives_groups_and_embed_dim():
     assert all(c % cfg.groups == 0 for c in cfg.channels)
     assert cfg.time_embed_dim == 32
     assert cfg.attention.model_dim == 32
+    # a custom ladder scales groups and embed dim with it, not the default's
+    cfg = UNetConfig.for_width(0.5, channel_ladder=(32, 64, 96, 128))
+    assert cfg.channels == (16, 32, 48, 64)
+    assert cfg.time_embed_dim == 64
+    assert cfg.groups == 8
 
 
 def test_config_validation():
@@ -49,6 +54,11 @@ def test_config_validation():
         UNetConfig(heads=512)  # per-head dim of 1 cannot be rotated in pairs
     with pytest.raises(ConfigurationError):
         UNetConfig(time_embed_dim=513)
+    for width in (float("nan"), float("inf"), 0.0, -0.5):
+        with pytest.raises(ConfigurationError, match="width_mult"):
+            UNetConfig.for_width(width)
+        with pytest.raises(ConfigurationError, match="width_mult"):
+            UNetConfig(width_mult=width)
 
 
 # ------------------------------------------------------------ forward
