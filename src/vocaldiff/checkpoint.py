@@ -10,6 +10,7 @@ training step.  Tensor records carry no count; they run until exactly the
 from __future__ import annotations
 
 import dataclasses
+import os
 import struct
 
 import numpy as np
@@ -84,7 +85,11 @@ def int_setting(cfg: dict, key: str, default=None):
 
 def save_checkpoint(path, params: ModelParams, step: int,
                     train_cfg=None, extra=None) -> None:
-    """Atomic write of params + config + step."""
+    """Atomic write of params + config + step.
+
+    The tensors are written from their own buffers, so saving holds no
+    second copy of the model.
+    """
     chunks = [_MAGIC, struct.pack("<I", _VERSION)]
     blob = config_text(params.config, train_cfg, extra).encode("utf-8")
     chunks.append(struct.pack("<I", len(blob)))
@@ -101,10 +106,9 @@ def save_checkpoint(path, params: ModelParams, step: int,
         dims = tensor.shape
         chunks.append(struct.pack(f"<H{len(encoded)}sB{len(dims)}I",
                                   len(encoded), encoded, len(dims), *dims))
-        chunks.append(np.ascontiguousarray(tensor.data, dtype="<f4")
-                      .tobytes())
+        chunks.append(np.ascontiguousarray(tensor.data, dtype="<f4"))
     chunks.append(struct.pack("<Q", int(step)))
-    atomic_write(path, b"".join(chunks))
+    atomic_write(path, *chunks)
 
 
 def load_checkpoint(path):
@@ -112,20 +116,24 @@ def load_checkpoint(path):
 
     The tensor names and shapes must match the model that the stored config
     builds: the first missing, unexpected or mis-shaped tensor raises
-    FormatError.
+    FormatError.  The file is read one record at a time, so loading holds
+    no second copy of the model.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return _read_checkpoint(path, fh, os.fstat(fh.fileno()).st_size)
+
+
+def _read_checkpoint(path, fh, size: int):
     pos = 0
 
     def take(n: int, what: str) -> bytes:
         nonlocal pos
-        if pos + n > len(raw):
+        piece = fh.read(n)
+        if len(piece) < n:
             raise FormatError(
                 f"{path}: truncated {what} at offset {pos} "
-                f"(need {n} bytes, have {len(raw) - pos})"
+                f"(need {n} bytes, have {len(piece)})"
             )
-        piece = raw[pos:pos + n]
         pos += n
         return piece
 
@@ -147,7 +155,7 @@ def load_checkpoint(path):
     schema = {name: t.shape for name, t in init_model_params(config).items()}
 
     tensors = {}
-    while len(raw) - pos > 8:
+    while size - pos > 8:
         (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
         try:
             name = take(name_len, "tensor name").decode("utf-8")
@@ -166,10 +174,10 @@ def load_checkpoint(path):
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
         tensors[name] = Tensor(data)
-    if len(raw) - pos != 8:
+    if size - pos != 8:
         raise FormatError(
             f"{path}: expected 8-byte step counter at offset {pos}, "
-            f"found {len(raw) - pos} bytes"
+            f"found {size - pos} bytes"
         )
     (step,) = struct.unpack("<Q", take(8, "step"))
     for name in (*schema, *tensors):

@@ -48,6 +48,8 @@ class TrainConfig:
             )
         if self.batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
+        if self.steps < 0:
+            raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
         if not 0.0 <= self.lr < np.inf:
             raise ConfigurationError(
                 f"lr must be finite and >= 0, got {self.lr}")

@@ -4,8 +4,9 @@ import contextlib
 import os
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write data to path through a temp file and a rename.
+def atomic_write(path, *chunks) -> None:
+    """Write the bytes-like chunks, in order, to path through a temp file
+    and a rename.
 
     Readers see the old file or the new one, never a partial write.  If the
     write or the rename fails, the temp file is removed and the error
@@ -14,7 +15,7 @@ def atomic_write(path, data: bytes) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

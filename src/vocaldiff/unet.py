@@ -22,8 +22,8 @@ from .attention import (AttentionConfig, AttentionParams,
 from .errors import ConfigurationError, ContractError, DimensionError
 from .rng import substream
 from .schedule import Schedule
-from .tensor import (Tensor, add, concat, conv1d, conv_transpose1d,
-                     group_norm, matmul, mul, narrow, reshape, silu, sub,
+from .tensor import (Tensor, _apply, _unbroadcast, add, concat, conv1d,
+                     conv_transpose1d, group_norm, matmul, reshape, silu, sub,
                      tensor_mean, transpose)
 
 
@@ -32,7 +32,11 @@ def _scaled(ladder: tuple, width_mult: float) -> tuple:
     if not 0.0 < width_mult < math.inf:
         raise ConfigurationError(
             f"width_mult must be finite and > 0, got {width_mult}")
-    return tuple(max(1, int(round(c * width_mult))) for c in ladder)
+    scaled = [c * width_mult for c in ladder]
+    if not all(math.isfinite(c) for c in scaled):
+        raise ConfigurationError(
+            f"width_mult {width_mult} overflows the channel ladder {ladder}")
+    return tuple(max(1, int(round(c))) for c in scaled)
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,9 @@ def film(x: Tensor, cond_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     scale and shift come from a learned linear map of cond_vec (..., d),
     whose leading axes match x's; with w and b zero the op is the identity.
+    One primitive with a closed-form backward: the linear map is one GEMM
+    forward and one for each of its two gradients, with the batch folded
+    into the rows.
     """
     c = x.shape[-2]
     lead, d = cond_vec.shape[:-1], cond_vec.shape[-1]
@@ -159,11 +166,24 @@ def film(x: Tensor, cond_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"film affine shapes {w.shape}/{b.shape} incompatible with "
             f"channels {c} and cond dim {d}"
         )
-    sb = add(matmul(reshape(cond_vec, lead + (1, d)), w), b)
-    sb = reshape(sb, lead + (2 * c, 1))
-    scale = narrow(sb, -2, 0, c)
-    shift = narrow(sb, -2, c, c)
-    return add(mul(x, add(scale, 1.0)), shift)
+    xd, wd = x.data, w.data
+    cond2 = cond_vec.data.reshape(-1, d)
+    sb = (np.dot(cond2, wd) + b.data).reshape(lead + (2 * c, 1))
+    scale1 = sb[..., :c, :] + np.asarray(1.0, sb.dtype)
+    out = xd * scale1 + sb[..., c:, :]
+    half = scale1.shape
+
+    def bwd(g):
+        dsb = np.concatenate([_unbroadcast(g * xd, half),
+                              _unbroadcast(g, half)], axis=-2)
+        # one (2c,) row per item, as the linear map produced them
+        dsb2 = dsb.reshape(-1, 2 * c)
+        return (_unbroadcast(g * scale1, xd.shape),
+                np.dot(dsb2, wd.T).reshape(lead + (d,)),
+                np.dot(cond2.T, dsb2),
+                _unbroadcast(dsb2, (2 * c,)))
+
+    return _apply(out, (x, cond_vec, w, b), bwd)
 
 
 def encode_vocal(z_v, params: ModelParams):

@@ -225,13 +225,27 @@ def test_train_rejects_a_bad_learning_rate(tmp_path, capsys):
         assert not ckpt.exists()
 
 
+def test_train_rejects_a_negative_step_count(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_gen(data)
+    ckpt = tmp_path / "m.vdif"
+    argv = ["train", "--data", str(data), "--steps", "-3", "--batch", "2",
+            "--length", "16", "--width-mult", "0.0625",
+            "--out", str(ckpt), "--log", str(tmp_path / "l.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "steps must be >= 0" in err
+    assert not ckpt.exists()
+
+
 def test_bad_option_values_are_one_line_errors(tmp_path, trained, capsys):
     data, ckpt = str(trained["data"]), str(trained["ckpt"])
     cases = [(["train", "--data", data, "--steps", "1", "--batch", "2",
                "--length", "16", "--width-mult", width,
                "--out", str(tmp_path / "m.vdif"),
                "--log", str(tmp_path / "l.csv")], "width_mult")
-             for width in ("nan", "inf", "0")]
+             for width in ("nan", "inf", "0", "1e308")]
     cases += [(["bench", "--length", length], "--length")
               for length in ("0", "3")]
     cases += [(["bench", "--length", "8", "--reps", "0"], "--reps")]

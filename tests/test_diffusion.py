@@ -158,6 +158,9 @@ def test_train_config_validation():
         TrainConfig(guidance_scale=-1.0)
     with pytest.raises(ConfigurationError):
         TrainConfig(batch=0)
+    with pytest.raises(ConfigurationError, match="steps"):
+        TrainConfig(steps=-3)
+    assert TrainConfig(steps=0).steps == 0  # writes the initialised model
     for lr in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ConfigurationError, match="lr"):
             TrainConfig(lr=lr)

@@ -8,7 +8,8 @@ from vocaldiff import (ModelParams, UNetConfig, encode_vocal, film,
                        sinusoidal_embedding, timestep_embedding, unet_forward)
 from vocaldiff.errors import ConfigurationError, ContractError, DimensionError
 from vocaldiff.gradcheck import check_gradients
-from vocaldiff.tensor import Tape, Tensor, add, backward, mul, tensor_sum
+from vocaldiff.tensor import (Tape, Tensor, add, backward, matmul, mul,
+                             narrow, reshape, tensor_sum)
 from vocaldiff.unet import stack_conds
 
 
@@ -59,6 +60,9 @@ def test_config_validation():
             UNetConfig.for_width(width)
         with pytest.raises(ConfigurationError, match="width_mult"):
             UNetConfig(width_mult=width)
+    # finite, but the scaled ladder overflows to inf
+    with pytest.raises(ConfigurationError, match="width_mult"):
+        UNetConfig.for_width(1e308)
 
 
 # ------------------------------------------------------------ forward
@@ -229,18 +233,62 @@ def test_film_validates_affine_shapes():
 
 def test_film_gradients():
     rng = np.random.default_rng(6)
-    x = Tensor(rng.standard_normal((3, 4)))
-    m = Tensor(rng.standard_normal((3, 4)))
-    params = {
-        "w": Tensor(rng.standard_normal((2, 6)) * 0.3),
-        "b": Tensor(rng.standard_normal(6) * 0.3),
-        "cv": Tensor(rng.standard_normal(2)),
-    }
-    errors = check_gradients(
-        lambda: tensor_sum(mul(film(x, params["cv"], params["w"],
-                                    params["b"]), m)),
-        params)
-    assert max(errors.values()) < 1e-5, errors
+    for lead in ((), (2,)):
+        m = Tensor(rng.standard_normal(lead + (3, 4)))
+        params = {
+            "x": Tensor(rng.standard_normal(lead + (3, 4))),
+            "w": Tensor(rng.standard_normal((2, 6)) * 0.3),
+            "b": Tensor(rng.standard_normal(6) * 0.3),
+            "cv": Tensor(rng.standard_normal(lead + (2,))),
+        }
+        errors = check_gradients(
+            lambda: tensor_sum(mul(film(params["x"], params["cv"],
+                                        params["w"], params["b"]), m)),
+            params)
+        assert max(errors.values()) < 1e-5, (lead, errors)
+
+
+def film_composed(x, cond_vec, w, b):
+    """FiLM as the composition of tape primitives it replaces."""
+    c = x.shape[-2]
+    lead, d = cond_vec.shape[:-1], cond_vec.shape[-1]
+    sb = add(matmul(reshape(cond_vec, lead + (1, d)), w), b)
+    sb = reshape(sb, lead + (2 * c, 1))
+    scale = narrow(sb, -2, 0, c)
+    shift = narrow(sb, -2, c, c)
+    return add(mul(x, add(scale, 1.0)), shift)
+
+
+# the last case is the unconditional batch: one null vector for every item
+@pytest.mark.parametrize("lead, cond_lead", [((), ()), ((2,), (2,)),
+                                             ((2,), ())],
+                         ids=["unbatched", "batched", "shared-cond"])
+def test_film_matches_its_composition_bitwise(lead, cond_lead):
+    rng = np.random.default_rng(11)
+    c, length, d = 6, 10, 4
+
+    def draw(shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    arrays = [draw(lead + (c, length)), draw(cond_lead + (d,)),
+              draw((d, 2 * c)), draw(2 * c)]
+    m = Tensor(draw(lead + (c, length)))
+    results = []
+    for fn in (film, film_composed):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = fn(*inputs)
+            records = len(tape)
+            grads = backward(tensor_sum(mul(out, m)))
+        results.append((out.data, [grads[t.node_id].data for t in inputs]))
+        if fn is film:
+            assert records == 1
+    (out, grads), (want, want_grads) = results
+    assert out.dtype == np.float32
+    assert out.tobytes() == want.tobytes()
+    for g, want_g in zip(grads, want_grads):
+        assert g.shape == want_g.shape and g.dtype == want_g.dtype
+        assert g.tobytes() == want_g.tobytes()
 
 
 def test_encode_vocal_shapes_and_pooling(tiny_cfg, live_params):
