@@ -1,7 +1,7 @@
 """Vocal-conditioned latent diffusion with timestep-mixed attention,
 implemented from scratch on numpy."""
 
-from .attention import (AttentionConfig, AttentionParams, global_attention,
+from .attention import (AttentionConfig, global_attention,
                         init_attention_params, local_attention, rope_rotate,
                         soft_align_attention)
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -18,7 +18,7 @@ from .synthdata import (LatentPair, gen_pair, read_pair, target_transform,
 from .tensor import Tape, Tensor, backward
 from .training import run_training
 from .unet import (ModelParams, UNetConfig, encode_vocal, film,
-                   init_model_params, param_breakdown, sinusoidal_embedding,
-                   timestep_embedding, unet_forward)
+                   init_model_params, param_breakdown, param_layout,
+                   sinusoidal_embedding, timestep_embedding, unet_forward)
 
 __version__ = "0.1.0"

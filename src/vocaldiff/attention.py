@@ -6,17 +6,23 @@ process: at t = 0 (clean signal) the block attends globally; as t grows and
 the signal degrades, weight shifts onto the local windowed branch.  Local
 q/k/v come from kernel-3 convolutions, global q/k/v from pointwise linear
 projections with rotary position embeddings on q and k.
+
+A block's parameters are plain {name: Tensor} entries whose names, shapes
+and inits ``attention_layout`` lists.  ``soft_align_attention`` reads them
+from any dict under a name prefix, so the block runs on its own dict
+(prefix "") or inside a whole model's (prefix "mid.attn.").
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
+from .rng import ZEROS, init_params
 from .schedule import Schedule, mix_weight
 from .tensor import (Tensor, _apply, add, conv1d, matmul, mul, permute,
                      reshape, softmax_rows, softmax_rows_grad, transpose)
@@ -206,73 +212,29 @@ def global_attention(q: Tensor, k: Tensor, v: Tensor,
     return scaled_dot_attention(qr, kr, v, 1.0 / math.sqrt(q.shape[-1]))
 
 
-# parameter field names, in construction order
-_ATTN_FIELDS = (
-    "local_q_w", "local_q_b", "local_k_w", "local_k_b",
-    "local_v_w", "local_v_b",
-    "global_q_w", "global_q_b", "global_k_w", "global_k_b",
-    "global_v_w", "global_v_b",
-    "out_w", "out_b",
-)
-
-
-@dataclass
-class AttentionParams:
-    """Projection weights for one soft-alignment block.
+def attention_layout(cfg: AttentionConfig) -> dict:
+    """The block's parameters as {name: (shape, init)} rows in draw order.
 
     Local projections are kernel-3 convolutions over (model_dim, L); global
     projections and the output projection are pointwise linear maps stored
-    as (in, out) matrices.
+    as (in, out) matrices.  Weights take a uniform fan-in init, biases zero.
     """
-
-    local_q_w: Tensor
-    local_q_b: Tensor
-    local_k_w: Tensor
-    local_k_b: Tensor
-    local_v_w: Tensor
-    local_v_b: Tensor
-    global_q_w: Tensor
-    global_q_b: Tensor
-    global_k_w: Tensor
-    global_k_b: Tensor
-    global_v_w: Tensor
-    global_v_b: Tensor
-    out_w: Tensor
-    out_b: Tensor
-
-    @classmethod
-    def from_map(cls, tensors: dict, prefix: str) -> "AttentionParams":
-        return cls(**{name: tensors[prefix + name] for name in _ATTN_FIELDS})
-
-    def to_map(self, prefix: str) -> dict:
-        return {prefix + f.name: getattr(self, f.name) for f in fields(self)}
+    m = cfg.model_dim
+    layout = {}
+    for branch, shape, fan_in in (("local", (m, m, 3), m * 3),
+                                  ("global", (m, m), m)):
+        for proj in "qkv":
+            layout[f"{branch}_{proj}_w"] = (shape, fan_in)
+            layout[f"{branch}_{proj}_b"] = ((m,), ZEROS)
+    layout["out_w"] = ((m, m), m)
+    layout["out_b"] = ((m,), ZEROS)
+    return layout
 
 
 def init_attention_params(cfg: AttentionConfig, rng: np.random.Generator,
-                          dtype=np.float32) -> AttentionParams:
-    """Uniform fan-in init for projections, zero biases."""
-    m = cfg.model_dim
-
-    def conv_w():
-        bound = 1.0 / math.sqrt(m * 3)
-        return Tensor(rng.uniform(-bound, bound, (m, m, 3)).astype(dtype))
-
-    def lin_w():
-        bound = 1.0 / math.sqrt(m)
-        return Tensor(rng.uniform(-bound, bound, (m, m)).astype(dtype))
-
-    def bias():
-        return Tensor(np.zeros(m, dtype=dtype))
-
-    return AttentionParams(
-        local_q_w=conv_w(), local_q_b=bias(),
-        local_k_w=conv_w(), local_k_b=bias(),
-        local_v_w=conv_w(), local_v_b=bias(),
-        global_q_w=lin_w(), global_q_b=bias(),
-        global_k_w=lin_w(), global_k_b=bias(),
-        global_v_w=lin_w(), global_v_b=bias(),
-        out_w=lin_w(), out_b=bias(),
-    )
+                          dtype=np.float32) -> dict:
+    """{name: Tensor} for one block, drawn from ``attention_layout``."""
+    return init_params(attention_layout(cfg), rng, dtype)
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
@@ -293,12 +255,16 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 def soft_align_attention(x: Tensor, t: int, cfg: AttentionConfig,
-                         params: AttentionParams, sched: Schedule) -> Tensor:
+                         params: dict, sched: Schedule,
+                         prefix: str = "") -> Tensor:
     """Mix global and local attention by the signal level at timestep t.
 
     Per head, context = g * global + (1 - g) * local with g = sqrt(abar_t);
     heads are merged, projected, and added back onto x residually.
     Input and output are (..., model_dim, L); leading axes batch items.
+    params maps names to Tensors and the block reads
+    ``params[prefix + name]`` for each name of ``attention_layout``: a
+    block's own dict passes no prefix, a whole model's passes its block's.
     """
     if x.data.ndim < 2 or x.shape[-2] != cfg.model_dim:
         raise ConfigurationError(
@@ -308,21 +274,23 @@ def soft_align_attention(x: Tensor, t: int, cfg: AttentionConfig,
     g, l = mix_weight(t, sched)
     xt = transpose(x)
 
-    def local_proj(w, b):
+    def weights(branch, proj):
+        key = f"{prefix}{branch}_{proj}"
+        return params[key + "_w"], params[key + "_b"]
+
+    def local_proj(proj):
+        w, b = weights("local", proj)
         return split_heads(transpose(conv1d(x, w, b, padding=1)), cfg.heads)
 
-    def global_proj(w, b):
+    def global_proj(proj):
+        w, b = weights("global", proj)
         return split_heads(add(matmul(xt, w), b), cfg.heads)
 
-    global_ctx = global_attention(
-        global_proj(params.global_q_w, params.global_q_b),
-        global_proj(params.global_k_w, params.global_k_b),
-        global_proj(params.global_v_w, params.global_v_b))
-    local_ctx = local_attention(
-        local_proj(params.local_q_w, params.local_q_b),
-        local_proj(params.local_k_w, params.local_k_b),
-        local_proj(params.local_v_w, params.local_v_b), cfg.window)
+    global_ctx = global_attention(*(global_proj(proj) for proj in "qkv"))
+    local_ctx = local_attention(*(local_proj(proj) for proj in "qkv"),
+                                cfg.window)
 
     mixed = merge_heads(add(mul(global_ctx, g), mul(local_ctx, l)))
-    projected = add(matmul(mixed, params.out_w), params.out_b)
+    projected = add(matmul(mixed, params[prefix + "out_w"]),
+                    params[prefix + "out_b"])
     return add(x, transpose(projected))

@@ -10,6 +10,7 @@ training step.  Tensor records carry no count; they run until exactly the
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import struct
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, FormatError
 from .fileio import atomic_write
 from .tensor import Tensor
-from .unet import ModelParams, UNetConfig, init_model_params
+from .unet import ModelParams, UNetConfig, param_layout
 
 _MAGIC = b"VDIF"
 _VERSION = 1
@@ -114,10 +115,12 @@ def save_checkpoint(path, params: ModelParams, step: int,
 def load_checkpoint(path):
     """Read back (params, config map, step); rejects malformed files.
 
-    The tensor names and shapes must match the model that the stored config
-    builds: the first missing, unexpected or mis-shaped tensor raises
-    FormatError.  The file is read one record at a time, so loading holds
-    no second copy of the model.
+    The tensor names and shapes must match ``param_layout`` of the stored
+    config: the first missing, unexpected or mis-shaped tensor raises
+    FormatError.  The file is read one record at a time, and a length a
+    record claims is checked against the bytes left before it is read, so
+    loading holds no second copy of the model and a corrupt length never
+    reaches a read.
     """
     with open(path, "rb") as fh:
         return _read_checkpoint(path, fh, os.fstat(fh.fileno()).st_size)
@@ -126,16 +129,17 @@ def load_checkpoint(path):
 def _read_checkpoint(path, fh, size: int):
     pos = 0
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str, reserve: int = 0) -> bytes:
+        """The next n bytes, which must leave ``reserve`` bytes unread."""
         nonlocal pos
-        piece = fh.read(n)
-        if len(piece) < n:
+        left = max(size - pos - reserve, 0)
+        if n > left:
             raise FormatError(
                 f"{path}: truncated {what} at offset {pos} "
-                f"(need {n} bytes, have {len(piece)})"
+                f"(need {n} bytes, have {left})"
             )
         pos += n
-        return piece
+        return fh.read(n)
 
     if take(4, "magic") != _MAGIC:
         raise FormatError(
@@ -150,9 +154,7 @@ def _read_checkpoint(path, fh, size: int):
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: config is not UTF-8: {exc}") from exc
     config = unet_config_from(cfg_map)
-    # built before any tensor is read, so the schema model's arrays are
-    # freed before the loaded ones exist
-    schema = {name: t.shape for name, t in init_model_params(config).items()}
+    schema = {name: shape for name, (shape, _) in param_layout(config).items()}
 
     tensors = {}
     while size - pos > 8:
@@ -166,10 +168,8 @@ def _read_checkpoint(path, fh, size: int):
             ) from exc
         (ndim,) = struct.unpack("<B", take(1, "tensor rank"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor dims"))
-        count = 1
-        for dim in dims:
-            count *= dim
-        data = np.frombuffer(take(4 * count, f"data of {name!r}"),
+        data = np.frombuffer(take(4 * math.prod(dims), f"data of {name!r}",
+                                  reserve=8),
                              dtype="<f4").reshape(dims).copy()
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")

@@ -234,10 +234,11 @@ def ddpm_sample(z_v, params: ModelParams, cfg: TrainConfig, sched: Schedule,
             f"schedule has {sched.num_steps} steps, config expects "
             f"{cfg.timesteps}"
         )
+    # guidance 0 runs the unconditional branch alone (cond None)
     cond = None
-    if denoise_fn is None:
+    if denoise_fn is None and cfg.guidance_scale != 0.0:
         cond = encode_vocal(z_v, params)
-        if cfg.guidance_scale not in (0.0, 1.0):
+        if cfg.guidance_scale != 1.0:
             # item 0 is the conditional branch, item 1 the unconditional one
             cond = stack_conds((cond, null_cond(params, z_v.shape)))
     x = rng.standard_normal(z_v.shape).astype(np.float32)
@@ -245,9 +246,7 @@ def ddpm_sample(z_v, params: ModelParams, cfg: TrainConfig, sched: Schedule,
     for t in range(sched.num_steps, 0, -1):
         if denoise_fn is not None:
             v = np.asarray(denoise_fn(x, t))
-        elif cfg.guidance_scale == 0.0:
-            v = unet_forward(x, t, None, params, sched).data
-        elif cfg.guidance_scale == 1.0:
+        elif cfg.guidance_scale in (0.0, 1.0):
             v = unet_forward(x, t, cond, params, sched).data
         else:
             v_cond, v_uncond = unet_forward(np.stack((x, x)), t, cond, params,

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .attention import (AttentionConfig, AttentionParams,
-                         init_attention_params, merge_heads,
+from .attention import (AttentionConfig, attention_layout, merge_heads,
                          scaled_dot_attention, soft_align_attention,
                          split_heads)
 from .errors import ConfigurationError, ContractError, DimensionError
-from .rng import substream
+from .rng import ONES, ZEROS, init_params, substream
 from .schedule import Schedule
 from .tensor import (Tensor, _apply, _unbroadcast, add, concat, conv1d,
                      conv_transpose1d, group_norm, matmul, reshape, silu, sub,
@@ -112,11 +110,10 @@ class ModelParams:
         return self.tensors.items()
 
 
-def param_breakdown(params) -> dict:
+def param_breakdown(params: ModelParams) -> dict:
     """Per-top-level-prefix element counts, e.g. {'mid': 8_668_160, ...}."""
-    tensors = params.tensors if isinstance(params, ModelParams) else params
     out: dict[str, int] = {}
-    for name, t in tensors.items():
+    for name, t in params.items():
         key = name.split(".", 1)[0]
         out[key] = out.get(key, 0) + t.size
     return out
@@ -132,18 +129,11 @@ def sinusoidal_embedding(t: int, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angle), np.cos(angle)])
 
 
-def timestep_embedding(t: int, dim: int,
-                       params: Optional["ModelParams"] = None) -> Tensor:
-    """Sinusoidal timestep vector, refined by the model's 2-layer MLP.
-
-    Without params the raw (pre-MLP) embedding is returned; the MLP halves
-    live in params as time.mlp1/time.mlp2.
-    """
-    base = sinusoidal_embedding(t, dim)
-    if params is None:
-        return Tensor(base.astype(np.float32))
+def timestep_embedding(t: int, dim: int, params: ModelParams) -> Tensor:
+    """Sinusoidal timestep vector, refined by the model's 2-layer MLP
+    (time.mlp1/time.mlp2 in params)."""
     p = params.tensors
-    h = Tensor(base.astype(p["time.mlp1.w"].dtype))
+    h = Tensor(sinusoidal_embedding(t, dim).astype(p["time.mlp1.w"].dtype))
     h = silu(add(matmul(reshape(h, (1, dim)), p["time.mlp1.w"]),
                  p["time.mlp1.b"]))
     h = add(matmul(h, p["time.mlp2.w"]), p["time.mlp2.b"])
@@ -230,43 +220,33 @@ def cross_attention(x: Tensor, tokens: Tensor, params: ModelParams,
     return transpose(o)
 
 
-def init_model_params(config: UNetConfig, seed: int = 0,
-                      zero_init_head: bool = True,
-                      dtype=np.float32) -> ModelParams:
-    """Centered uniform fan-in init; FiLM generators and (by default) the
-    output head start at zero so the freshly built net is the identity-zero
-    map with healthy gradients.
+def param_layout(config: UNetConfig) -> dict:
+    """Every parameter of the model as an ordered {name: (shape, init)}.
 
-    zero_init_head=False gives the head a fan-in init too, for tests that
-    need a non-degenerate random model.
+    init is a fan-in (uniform in ±1/sqrt(fan_in)), ZEROS or ONES; table
+    order is draw order.  FiLM generators start at zero, so each
+    modulation starts as the identity.
     """
-    rng = substream(seed, "init")
     chans = config.channels
     d = config.time_embed_dim
-    tensors: dict[str, Tensor] = {}
+    layout: dict[str, tuple] = {}
 
-    def uniform(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, shape).astype(dtype))
-
-    def conv(name, c_out, c_in, k, zero=False):
-        if zero:
-            tensors[name + ".w"] = Tensor(np.zeros((c_out, c_in, k), dtype))
-        else:
-            tensors[name + ".w"] = uniform((c_out, c_in, k), c_in * k)
-        tensors[name + ".b"] = Tensor(np.zeros(c_out, dtype))
+    def conv(name, c_out, c_in, k, transposed=False):
+        shape = (c_in, c_out, k) if transposed else (c_out, c_in, k)
+        layout[name + ".w"] = (shape, c_in * k)
+        layout[name + ".b"] = ((c_out,), ZEROS)
 
     def linear(name, d_in, d_out):
-        tensors[name + ".w"] = uniform((d_in, d_out), d_in)
-        tensors[name + ".b"] = Tensor(np.zeros(d_out, dtype))
+        layout[name + ".w"] = ((d_in, d_out), d_in)
+        layout[name + ".b"] = ((d_out,), ZEROS)
 
     def norm(name, c):
-        tensors[name + ".gamma"] = Tensor(np.ones(c, dtype))
-        tensors[name + ".beta"] = Tensor(np.zeros(c, dtype))
+        layout[name + ".gamma"] = ((c,), ONES)
+        layout[name + ".beta"] = ((c,), ZEROS)
 
     def film_gen(name, c):
-        tensors[name + ".w"] = Tensor(np.zeros((d, 2 * c), dtype))
-        tensors[name + ".b"] = Tensor(np.zeros(2 * c, dtype))
+        layout[name + ".w"] = ((d, 2 * c), ZEROS)
+        layout[name + ".b"] = ((2 * c,), ZEROS)
 
     def res_block(prefix, c_in, c_out):
         norm(prefix + "gn1", c_in)
@@ -281,11 +261,7 @@ def init_model_params(config: UNetConfig, seed: int = 0,
     def sample_block(prefix, c_in, c_out, transposed):
         norm(prefix + "gn", c_in)
         film_gen(prefix + "film", c_in)
-        if transposed:
-            tensors[prefix + "conv.w"] = uniform((c_in, c_out, 4), c_in * 4)
-            tensors[prefix + "conv.b"] = Tensor(np.zeros(c_out, dtype))
-        else:
-            conv(prefix + "conv", c_out, c_in, 4)
+        conv(prefix + "conv", c_out, c_in, 4, transposed)
 
     conv("stem", chans[0], config.in_channels, 3)
     linear("time.mlp1", d, d)
@@ -293,7 +269,7 @@ def init_model_params(config: UNetConfig, seed: int = 0,
     conv("vocal.conv1", d, config.in_channels, 4)
     conv("vocal.conv2", d, d, 4)
     linear("cond.pool_proj", d, d)
-    tensors["cond.null_pooled"] = Tensor(np.zeros(d, dtype))
+    layout["cond.null_pooled"] = ((d,), ZEROS)
 
     for i in range(3):
         res_block(f"enc{i}.res.", chans[i], chans[i])
@@ -302,10 +278,8 @@ def init_model_params(config: UNetConfig, seed: int = 0,
     c_mid = chans[-1]
     res_block("mid.res1.", c_mid, c_mid)
     norm("mid.attn_gn", c_mid)
-    tensors.update(
-        init_attention_params(config.attention, rng, dtype=dtype)
-        .to_map("mid.attn.")
-    )
+    for name, row in attention_layout(config.attention).items():
+        layout["mid.attn." + name] = row
     norm("mid.cross_gn", c_mid)
     linear("mid.cross.q", c_mid, c_mid)
     linear("mid.cross.k", d, c_mid)
@@ -318,8 +292,26 @@ def init_model_params(config: UNetConfig, seed: int = 0,
         res_block(f"dec{i}.res.", 2 * chans[i], chans[i])
 
     norm("head.gn", chans[0])
-    conv("head.conv", config.in_channels, chans[0], 3, zero=zero_init_head)
-    return ModelParams(config, tensors)
+    conv("head.conv", config.in_channels, chans[0], 3)
+    return layout
+
+
+def init_model_params(config: UNetConfig, seed: int = 0,
+                      zero_init_head: bool = True,
+                      dtype=np.float32) -> ModelParams:
+    """Draw ``param_layout(config)`` from the seed's "init" substream.
+
+    By default the output head starts at zero too, so the freshly built net
+    is the identity-zero map with healthy gradients; zero_init_head=False
+    keeps its fan-in init, for tests that need a non-degenerate random
+    model.  The head is drawn last, so either choice leaves every other
+    draw unchanged.
+    """
+    layout = param_layout(config)
+    if zero_init_head:
+        layout["head.conv.w"] = (layout["head.conv.w"][0], ZEROS)
+    return ModelParams(config, init_params(layout, substream(seed, "init"),
+                                           dtype))
 
 
 def null_cond(params: ModelParams, shape) -> tuple:
@@ -407,9 +399,8 @@ def unet_forward(x_t, t: int, cond, params: ModelParams,
     a = group_norm(h, groups, p["mid.attn_gn.gamma"], p["mid.attn_gn.beta"])
     # soft_align adds its own residual onto the normed input; keep only the
     # attention term so the unnormed stream carries the skip
-    h = add(h, sub(soft_align_attention(
-        a, t, cfg.attention, AttentionParams.from_map(p, "mid.attn."),
-        sched), a))
+    h = add(h, sub(soft_align_attention(a, t, cfg.attention, p, sched,
+                                        "mid.attn."), a))
     c = group_norm(h, groups, p["mid.cross_gn.gamma"],
                    p["mid.cross_gn.beta"])
     h = add(h, cross_attention(c, tokens, params, "mid.cross."))

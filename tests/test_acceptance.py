@@ -185,17 +185,20 @@ def test_criterion_3_blend_endpoints_and_mix_sum(capsys, sched):
                 for h in range(acfg.heads)]
         return concat(outs, axis=1)
 
-    lq = transpose(conv1d(x, aparams.local_q_w, aparams.local_q_b, padding=1))
-    lk = transpose(conv1d(x, aparams.local_k_w, aparams.local_k_b, padding=1))
-    lv = transpose(conv1d(x, aparams.local_v_w, aparams.local_v_b, padding=1))
+    lq = transpose(conv1d(x, aparams["local_q_w"], aparams["local_q_b"],
+                          padding=1))
+    lk = transpose(conv1d(x, aparams["local_k_w"], aparams["local_k_b"],
+                          padding=1))
+    lv = transpose(conv1d(x, aparams["local_v_w"], aparams["local_v_b"],
+                          padding=1))
     xt = transpose(x)
-    gq = add(matmul(xt, aparams.global_q_w), aparams.global_q_b)
-    gk = add(matmul(xt, aparams.global_k_w), aparams.global_k_b)
-    gv = add(matmul(xt, aparams.global_v_w), aparams.global_v_b)
+    gq = add(matmul(xt, aparams["global_q_w"]), aparams["global_q_b"])
+    gk = add(matmul(xt, aparams["global_k_w"]), aparams["global_k_b"])
+    gv = add(matmul(xt, aparams["global_v_w"]), aparams["global_v_b"])
 
     def finish(ctx):
-        return add(x, transpose(add(matmul(ctx, aparams.out_w),
-                                    aparams.out_b))).data
+        return add(x, transpose(add(matmul(ctx, aparams["out_w"]),
+                                    aparams["out_b"]))).data
 
     pure_global = finish(per_head(
         lambda q, k, v: global_attention(q, k, v), gq, gk, gv))

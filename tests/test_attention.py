@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from vocaldiff import (AttentionConfig, AttentionParams, UNetConfig,
+from vocaldiff import (AttentionConfig, UNetConfig,
                        build_cosine_schedule, global_attention,
                        init_attention_params, init_model_params,
                        local_attention, mix_weight, rope_rotate,
@@ -269,13 +269,16 @@ def branch_outputs(x, cfg, params):
 
     length = x.shape[1]
     positions = np.arange(length, dtype=np.float64)
-    lq = transpose(conv1d(x, params.local_q_w, params.local_q_b, padding=1))
-    lk = transpose(conv1d(x, params.local_k_w, params.local_k_b, padding=1))
-    lv = transpose(conv1d(x, params.local_v_w, params.local_v_b, padding=1))
+    lq = transpose(conv1d(x, params["local_q_w"], params["local_q_b"],
+                          padding=1))
+    lk = transpose(conv1d(x, params["local_k_w"], params["local_k_b"],
+                          padding=1))
+    lv = transpose(conv1d(x, params["local_v_w"], params["local_v_b"],
+                          padding=1))
     xt = transpose(x)
-    gq = add(matmul(xt, params.global_q_w), params.global_q_b)
-    gk = add(matmul(xt, params.global_k_w), params.global_k_b)
-    gv = add(matmul(xt, params.global_v_w), params.global_v_b)
+    gq = add(matmul(xt, params["global_q_w"]), params["global_q_b"])
+    gk = add(matmul(xt, params["global_k_w"]), params["global_k_b"])
+    gv = add(matmul(xt, params["global_v_w"]), params["global_v_b"])
 
     def per_head(fn, q, k, v):
         outs = [fn(narrow(q, 1, h * cfg.head_dim, cfg.head_dim),
@@ -290,8 +293,8 @@ def branch_outputs(x, cfg, params):
                      lq, lk, lv)
 
     def finish(ctx):
-        return add(x, transpose(add(matmul(ctx, params.out_w),
-                                    params.out_b))).data
+        return add(x, transpose(add(matmul(ctx, params["out_w"]),
+                                    params["out_b"]))).data
 
     return finish(g_ctx), finish(l_ctx)
 
@@ -353,13 +356,6 @@ def test_attention_config_validation():
     with pytest.raises(ConfigurationError):
         AttentionConfig(head_dim=3)
     assert AttentionConfig().model_dim == 512
-
-
-def test_attention_params_map_round_trip(small_params):
-    m = small_params.to_map("blk.")
-    rebuilt = AttentionParams.from_map(m, "blk.")
-    assert rebuilt.local_q_w is small_params.local_q_w
-    assert rebuilt.out_b is small_params.out_b
 
 
 # ------------------------------------------------------ cross-attention
@@ -468,7 +464,7 @@ def test_grad_soft_align_block(sched, small_cfg):
                requires_grad=True)
     m = Tensor(rng.standard_normal((small_cfg.model_dim, 12)))
     named = {"x": x}
-    named.update(params.to_map(""))
+    named.update(params)
     errs = check_gradients(
         lambda: tensor_sum(
             soft_align_attention(x, 300, small_cfg, params, sched) * m),

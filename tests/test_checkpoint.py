@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import vocaldiff
 from vocaldiff import (TrainConfig, UNetConfig, init_model_params,
                        load_checkpoint, save_checkpoint)
 from vocaldiff.checkpoint import (config_text, parse_config_text,
@@ -74,6 +75,39 @@ def test_duplicate_tensor_name_is_diagnosed(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(FormatError, match="duplicate tensor name 'w'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", ((2 ** 32 - 1,) * 3, (1 << 20,)))
+def test_a_claimed_size_past_the_file_is_truncation(tmp_path, dims):
+    # the first claim overflows an index-sized integer, the second is only
+    # far larger than the file; neither may reach a read
+    cfg_blob = config_text(UNetConfig.for_width(1 / 16)).encode()
+    record = (struct.pack(f"<H6sB{len(dims)}I", 6, b"stem.w", len(dims),
+                          *dims) + bytes(16))
+    path = tmp_path / "huge.vdif"
+    path.write_bytes(b"VDIF" + struct.pack("<I", 1)
+                     + struct.pack("<I", len(cfg_blob)) + cfg_blob
+                     + record + struct.pack("<Q", 0))
+    with pytest.raises(FormatError,
+                       match="truncated data of 'stem.w' at offset .* "
+                             r"have 16\)"):
+        load_checkpoint(path)
+
+
+def test_load_draws_no_model(tmp_path, small_params, monkeypatch):
+    path = tmp_path / "model.vdif"
+    save_checkpoint(path, small_params, step=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a model")
+
+    for module in (vocaldiff.rng, vocaldiff.unet, vocaldiff.attention):
+        for name in ("init_params", "substream"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    params, _, step = load_checkpoint(path)
+    assert step == 3
+    assert list(params.tensors) == list(small_params.tensors)
 
 
 def test_step_counter_residue_is_diagnosed(tmp_path, small_params):

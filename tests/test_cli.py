@@ -1,11 +1,14 @@
 """End-to-end command behavior through the argparse entry point."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from vocaldiff import (build_cosine_schedule, encode_vocal, forward_diffuse,
                        load_checkpoint, read_pair, save_checkpoint,
                        unet_forward)
+from vocaldiff.checkpoint import config_text
 from vocaldiff.cli import main
 from vocaldiff.rng import substream
 
@@ -210,6 +213,26 @@ def test_sample_and_analyze_reject_a_checkpoint_missing_a_tensor(
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "'head.conv.w' is missing" in err
+
+
+def test_a_corrupt_tensor_size_is_a_one_line_error(tmp_path, trained,
+                                                    capsys):
+    # stem.w claims 4 * (2**32 - 1)**3 bytes, which does not fit an index
+    cfg_blob = config_text(load_checkpoint(trained["ckpt"])[0].config,
+                           extra={"length": 16}).encode()
+    corrupt = tmp_path / "corrupt.vdif"
+    corrupt.write_bytes(
+        b"VDIF" + struct.pack("<I", 1) + struct.pack("<I", len(cfg_blob))
+        + cfg_blob
+        + struct.pack("<H6sB3I", 6, b"stem.w", 3, *(2 ** 32 - 1,) * 3)
+        + bytes(16) + struct.pack("<Q", 0))
+    vocal = sorted(trained["data"].glob("*.vlat"))[0]
+    assert main(["sample", "--ckpt", str(corrupt), "--vocal", str(vocal),
+                 "--out", str(tmp_path / "x.vlat"),
+                 "--trace", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "truncated data of 'stem.w'" in err
 
 
 def test_train_rejects_a_bad_learning_rate(tmp_path, capsys):

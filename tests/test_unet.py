@@ -1,10 +1,14 @@
 """Backbone wiring: shapes, conditioning plumbing, parameter accounting."""
 
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vocaldiff import (ModelParams, UNetConfig, encode_vocal, film,
-                       init_model_params, param_breakdown,
+                       init_model_params, param_breakdown, param_layout,
                        sinusoidal_embedding, timestep_embedding, unet_forward)
 from vocaldiff.errors import ConfigurationError, ContractError, DimensionError
 from vocaldiff.gradcheck import check_gradients
@@ -183,6 +187,51 @@ def test_default_width_lands_in_target_band():
     assert 8_000_000 <= n <= 25_000_000
 
 
+# sha256 over every parameter's name and float32 bytes, in order, of
+# init_model_params at width 1/16: pins the names, their order and every draw
+INIT_DIGESTS = {
+    (0, True):
+        "ddf9bd8987e9ba095551bd12dcc9865067c6deb8d548c8dee59ffa4ed490b98b",
+    (0, False):
+        "cbe2c40e792fec0757ef9481b1d29425b3aea545baa23aa5912b1b355f7c1a84",
+    (3, True):
+        "d46adf5621309949e1ccc3feb9f1ed5a660ef693249f48d0112dea9177fab9ba",
+    (3, False):
+        "694581c8fc58f7269ff4c264e5b7f39a9c129295da84bc39fac33cf5a59213ed",
+}
+
+
+@pytest.mark.parametrize("seed,zero_head", sorted(INIT_DIGESTS))
+def test_init_draws_are_pinned(tiny_cfg, seed, zero_head):
+    params = init_model_params(tiny_cfg, seed=seed, zero_init_head=zero_head)
+    digest = hashlib.sha256()
+    for name, t in params.items():
+        digest.update(name.encode("utf-8"))
+        digest.update(t.data.tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[seed, zero_head]
+
+
+@pytest.mark.parametrize("width", (1 / 16, 1 / 8))
+def test_param_layout_shapes_match_init(width):
+    cfg = UNetConfig.for_width(width)
+    layout = param_layout(cfg)
+    params = init_model_params(cfg, seed=0)
+    assert list(layout) == list(params.tensors)
+    for name, (shape, _) in layout.items():
+        assert params[name].shape == shape, name
+
+
+def test_full_width_layout_counts_without_allocating():
+    tracemalloc.start()
+    try:
+        layout = param_layout(UNetConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(math.prod(shape) for shape, _ in layout.values()) == 18_237_696
+    assert peak < 1 << 20
+
+
 def test_model_params_rejects_non_tensor(tiny_cfg):
     with pytest.raises(ContractError):
         ModelParams(tiny_cfg, {"w": np.zeros(3)})
@@ -331,11 +380,11 @@ def test_sinusoidal_embedding_rejects_odd_dim():
 
 
 def test_timestep_embedding_with_and_without_mlp(tiny_cfg, live_params):
-    raw = timestep_embedding(40, tiny_cfg.time_embed_dim)
+    raw = sinusoidal_embedding(40, tiny_cfg.time_embed_dim)
     assert raw.shape == (tiny_cfg.time_embed_dim,)
-    assert raw.data.dtype == np.float32
     refined = timestep_embedding(40, tiny_cfg.time_embed_dim, live_params)
     assert refined.shape == raw.shape
-    assert np.max(np.abs(refined.data - raw.data)) > 0.0
+    assert refined.data.dtype == np.float32
+    assert np.max(np.abs(refined.data - raw)) > 0.0
     again = timestep_embedding(40, tiny_cfg.time_embed_dim, live_params)
     assert np.array_equal(refined.data, again.data)
