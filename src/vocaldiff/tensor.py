@@ -12,16 +12,26 @@ every leaf the loss depends on.  With no tape active the primitives run as
 plain numpy and do no autodiff bookkeeping, so a value computed there is a
 constant to any later tape.
 
+A backward rule returns one gradient per input.  The weight gradient of
+``matmul``, the convolutions and ``unet.film`` is a sum of per-row outer
+products, so those rules return it as ``Factored`` row stacks instead of
+multiplying it out.  The sweep collects every factored contribution a node
+receives and multiplies them out as one GEMM over the stacked rows when the
+node's gradient is first needed: when the sweep reaches the node's record,
+or, for a leaf, when the sweep ends.
+
 Only the operations the model actually needs are provided; broadcasting is
 supported for the elementwise ops (gradients are summed back to the input
 shapes).  The convolutions, ``group_norm``, ``transpose`` and ``matmul``'s
 left operand take optional leading batch axes in front of their 2-d
 (channels, length) or (rows, features) shape; the 2-d call is the case with
-none, and backward rules sum parameter gradients over the batch axes.
+none.  Parameter gradients sum over the batch axes: a factored weight
+gradient folds them into its rows, the other rules sum them.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional, Sequence, Union
 
@@ -57,17 +67,69 @@ class _Record:
         self.backward = backward
 
 
+class Factored:
+    """A weight gradient ``a.T @ b`` that the sweep multiplies out.
+
+    ``a`` holds K rows of m = shape[0] entries and ``b`` K rows of
+    n = prod(shape[1:]) entries, each in C order over any number of leading
+    axes (a strided view is fine); the gradient is the (m, n) product
+    reshaped to ``shape``.
+    """
+
+    __slots__ = ("a", "b", "shape")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]):
+        self.a = a
+        self.b = b
+        self.shape = shape
+
+
+def _stack_rows(parts: list, width: int) -> np.ndarray:
+    """The rows of every array in ``parts`` as one (K, width) matrix.
+
+    The matrix is column-major, so each part is copied along its rows: for
+    a convolution's factors that is the contiguous output-position axis,
+    where a row-major copy would step through K-entry windows.
+    """
+    if len(parts) == 1:
+        return parts[0].reshape(-1, width)
+    rows = sum(p.size for p in parts) // width
+    out = np.empty((rows, width), np.result_type(*parts), order="F")
+    start = 0
+    for p in parts:
+        stop = start + p.size // width
+        out[start:stop].reshape(p.shape, copy=False)[...] = p
+        start = stop
+    return out
+
+
+def _multiply_out(dense: Optional[np.ndarray], parts: list) -> np.ndarray:
+    """The sum of ``dense`` (or nothing) and every ``Factored`` in ``parts``,
+    with the factored sum computed as one GEMM over the stacked rows."""
+    shape = parts[0].shape
+    m = shape[0]
+    # np.dot, not np.matmul: matmul skips BLAS when K is 1 (an unbatched
+    # FiLM weight gradient) and runs several times slower there
+    product = np.dot(_stack_rows([f.a for f in parts], m).T,
+                     _stack_rows([f.b for f in parts], math.prod(shape[1:]))
+                     ).reshape(shape)
+    # dense + product promotes as the sweep's acc + gin does
+    return product if dense is None else dense + product
+
+
 class Tape:
     """Wengert list of primitive applications for one forward pass.
 
     Records are appended in execution order, so every node's inputs precede
-    it; the backward sweep walks the list once, in reverse.  A tape is
-    confined to the thread that opened it.
+    it; the backward sweep walks the list once, in reverse, and releases
+    each rule (with the arrays it saved) as soon as it has run, so a tape is
+    swept at most once.  A tape is confined to the thread that opened it.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
         self._next_id = 0
+        self._swept = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -109,6 +171,9 @@ class Tape:
             raise ContractError(
                 f"backward needs a scalar loss, got shape {loss.shape}"
             )
+        if self._swept:
+            raise ContractError("this tape has been swept already")
+        self._swept = True
         grads: dict[int, np.ndarray] = {
             loss.node_id: np.ones_like(loss.data)
         }
@@ -116,12 +181,22 @@ class Tape:
         # are added into in place, never an array a backward rule returned
         # (add's rule hands the same array to both of its inputs)
         owned: set[int] = set()
+        # Factored contributions per node, multiplied out when its gradient
+        # is first needed
+        factored: dict[int, list[Factored]] = {}
         for rec in reversed(self._records):
+            rule, rec.backward = rec.backward, None
             gout = grads.pop(rec.out_id, None)
+            parts = factored.pop(rec.out_id, None)
+            if parts is not None:
+                gout = _multiply_out(gout, parts)
             if gout is None:
                 continue
-            for in_id, gin in zip(rec.in_ids, rec.backward(gout)):
+            for in_id, gin in zip(rec.in_ids, rule(gout)):
                 if in_id is None or gin is None:
+                    continue
+                if isinstance(gin, Factored):
+                    factored.setdefault(in_id, []).append(gin)
                     continue
                 acc = grads.get(in_id)
                 if acc is None:
@@ -135,7 +210,9 @@ class Tape:
                     grads[in_id] = np.asarray(acc + gin)
                     owned.add(in_id)
         # each record is visited after every record that reads its output
-        # and pops its own entry, so only leaves, which have no record, remain
+        # and pops its own entries, so only leaves, which have no record, remain
+        for node_id, parts in factored.items():
+            grads[node_id] = _multiply_out(grads.get(node_id), parts)
         return {node_id: Tensor(g) for node_id, g in grads.items()}
 
 
@@ -406,8 +483,8 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., M, K) @ (K, N) -> (..., M, N); dA = dC @ B^T, dB = A^T @ dC.
 
-    The leading axes of a fold into its rows, so forward and both gradients
-    are one 2-d GEMM each, and dB sums over the batch inside its GEMM.
+    The leading axes of a fold into its rows, so forward and dA are one 2-d
+    GEMM each; dB is returned ``Factored`` over those rows.
     """
     if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise DimensionError(
@@ -417,21 +494,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a2 = ad.reshape(-1, ad.shape[-1])
     n = bd.shape[1]
 
-    # np.dot, not np.matmul: matmul skips BLAS when the inner dimension is 1
-    # (FiLM's rank-1 weight gradient) and runs several times slower there
     def bwd(g):
         g2 = g.reshape(-1, n)
-        return np.dot(g2, bd.T).reshape(ad.shape), np.dot(a2.T, g2)
+        return np.dot(g2, bd.T).reshape(ad.shape), Factored(a2, g2, bd.shape)
 
     return _apply(np.dot(a2, bd).reshape(ad.shape[:-1] + (n,)), (a, b), bwd)
+
+
+def _windows(xp: np.ndarray, k: int, stride: int, l_out: int) -> np.ndarray:
+    """(..., C, K, L_out) read-only view of a padded (..., C, L) input:
+    entry [..., c, j, i] is xp[..., c, i*stride + j]."""
+    return np.lib.stride_tricks.as_strided(
+        xp, xp.shape[:-1] + (k, l_out), xp.strides + (xp.strides[-1] * stride,),
+        writeable=False)
 
 
 def _columns(xp: np.ndarray, k: int, stride: int, l_out: int) -> np.ndarray:
     """(..., C*K, L_out) im2col matrices of a padded (..., C, L) input: row
     c*K + j, column i holds xp[..., c, i*stride + j]."""
-    return np.lib.stride_tricks.as_strided(
-        xp, xp.shape[:-1] + (k, l_out), xp.strides + (xp.strides[-1] * stride,),
-        writeable=False).reshape(xp.shape[:-2] + (-1, l_out))
+    return _windows(xp, k, stride, l_out).reshape(xp.shape[:-2] + (-1, l_out))
+
+
+def _column_rows(xp: np.ndarray, k: int, stride: int, l_out: int):
+    """The im2col matrices transposed, as a view: (..., L_out, C, K) whose
+    row i (C*K entries) is column i of ``_columns``."""
+    return np.moveaxis(_windows(xp, k, stride, l_out), -1, -3)
 
 
 def _overlap_add(cols: np.ndarray, k: int, stride: int, length: int):
@@ -451,7 +538,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     Leading axes of x batch independent inputs; the output is
     (..., C_out, L_out) with L_out = floor((L + 2*padding - K) / stride) + 1.
     One GEMM per item on the ``_columns`` of the zero-padded input; backward,
-    two more give dx (through ``_overlap_add``) and dw, summed over the batch.
+    one more gives dx (through ``_overlap_add``), and dw is returned
+    ``Factored`` over the output-gradient rows of every item and position,
+    its B rows a view of the padded input.
     """
     if x.data.ndim < 2 or w.data.ndim != 3:
         raise DimensionError(
@@ -478,9 +567,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
 
     def bwd(g):
         dxp = _overlap_add(w2.T @ g, k, stride, xp.shape[-1])
-        dw = g @ _columns(xp, k, stride, l_out).swapaxes(-1, -2)
         return (np.ascontiguousarray(dxp[..., padding:padding + length]),
-                _unbroadcast(dw, w2.shape).reshape(c_out, c_in, k),
+                Factored(g.swapaxes(-1, -2),
+                         _column_rows(xp, k, stride, l_out), (c_out, c_in, k)),
                 _unbroadcast(g.sum(axis=-1), (c_out,)))
 
     return _apply(out, (x, w, b), bwd)
@@ -493,8 +582,9 @@ def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     Leading axes of x batch independent inputs; the output is
     (..., C_out, L_out) with L_out = (L - 1) * stride - 2 * padding + K.  The
     adjoint of ``conv1d`` under the same weight, stride and padding: a GEMM
-    then ``_overlap_add`` forward, two GEMMs on the ``_columns`` of the padded
-    gradient backward, dw summed over the batch.
+    then ``_overlap_add`` forward; backward, a GEMM on the ``_columns`` of the
+    padded gradient gives dx, and dw is returned ``Factored`` over the input
+    rows of every item and position, its B rows a view of that gradient.
     """
     if x.data.ndim < 2 or w.data.ndim != 3:
         raise DimensionError(
@@ -522,9 +612,9 @@ def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     def bwd(g):
         gp = np.zeros(g.shape[:-1] + (full,), g.dtype)
         gp[..., padding:padding + l_out] = g
-        cols = _columns(gp, k, stride, length)
-        dw = _unbroadcast(xd @ cols.swapaxes(-1, -2), w2.shape)
-        return (w2 @ cols, dw.reshape(c_in, c_out, k),
+        return (w2 @ _columns(gp, k, stride, length),
+                Factored(xd.swapaxes(-1, -2),
+                         _column_rows(gp, k, stride, length), (c_in, c_out, k)),
                 _unbroadcast(g.sum(axis=-1), (c_out,)))
 
     return _apply(out, (x, w, b), bwd)
@@ -571,8 +661,13 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
         )
     grouped = x.shape[:-2] + (groups, -1)
     xg = x.data.reshape(grouped)
-    mean = xg.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = ((xg.astype(np.float64) - mean) ** 2).mean(axis=-1, keepdims=True)
+    n = xg.shape[-1]
+    # np.add.reduce and / n are what .mean computes, without its wrapper
+    mean = np.add.reduce(xg, axis=-1, dtype=np.float64, keepdims=True) / n
+    dev = xg.astype(np.float64)
+    dev -= mean
+    dev *= dev
+    var = np.add.reduce(dev, axis=-1, keepdims=True) / n
     inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
     mean = mean.astype(x.dtype)
     xhat = ((xg - mean) * inv_std).reshape(x.shape)
@@ -584,8 +679,8 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
         dbeta = _unbroadcast(g.sum(axis=-1), gd.shape)
         dxhat = (g * gd[:, None]).reshape(grouped)
         xh = xhat.reshape(grouped)
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xh).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        m2 = np.add.reduce(dxhat * xh, axis=-1, keepdims=True) / n
         dx = (inv_std * (dxhat - m1 - xh * m2)).reshape(xhat.shape)
         return dx, dgamma, dbeta
 
@@ -605,6 +700,13 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
     that tape.  Fan-out is accumulated.  Constants (tensors with no node on
     the tape: untracked inputs, and values computed with no tape active)
     never appear.
+
+    A backward rule may return a weight gradient as ``Factored`` row stacks
+    instead of an array.  The sweep keeps every such contribution to a node
+    and multiplies them out as one GEMM over all their rows when the node's
+    gradient is first needed: when the sweep reaches the node's record, or
+    at the end of the sweep for a leaf.  A node that also has dense
+    contributions gets their sum plus the product.
     """
     tape = loss._tape
     if tape is None:

@@ -20,9 +20,9 @@ from .attention import (AttentionConfig, attention_layout, merge_heads,
 from .errors import ConfigurationError, ContractError, DimensionError
 from .rng import ONES, ZEROS, init_params, substream
 from .schedule import Schedule
-from .tensor import (Tensor, _apply, _unbroadcast, add, concat, conv1d,
-                     conv_transpose1d, group_norm, matmul, reshape, silu, sub,
-                     tensor_mean, transpose)
+from .tensor import (Factored, Tensor, _apply, _unbroadcast, add, concat,
+                     conv1d, conv_transpose1d, group_norm, matmul, reshape,
+                     silu, sub, tensor_mean, transpose)
 
 
 def _scaled(ladder: tuple, width_mult: float) -> tuple:
@@ -146,8 +146,8 @@ def film(x: Tensor, cond_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
     scale and shift come from a learned linear map of cond_vec (..., d),
     whose leading axes match x's; with w and b zero the op is the identity.
     One primitive with a closed-form backward: the linear map is one GEMM
-    forward and one for each of its two gradients, with the batch folded
-    into the rows.
+    forward and one for the cond_vec gradient, with the batch folded into
+    the rows; the w gradient is returned ``Factored`` over those rows.
     """
     c = x.shape[-2]
     lead, d = cond_vec.shape[:-1], cond_vec.shape[-1]
@@ -170,7 +170,7 @@ def film(x: Tensor, cond_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
         dsb2 = dsb.reshape(-1, 2 * c)
         return (_unbroadcast(g * scale1, xd.shape),
                 np.dot(dsb2, wd.T).reshape(lead + (d,)),
-                np.dot(cond2.T, dsb2),
+                Factored(cond2, dsb2, wd.shape),
                 _unbroadcast(dsb2, (2 * c,)))
 
     return _apply(out, (x, cond_vec, w, b), bwd)

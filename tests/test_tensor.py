@@ -6,10 +6,10 @@ import pytest
 
 from vocaldiff.errors import ContractError, DimensionError
 from vocaldiff.gradcheck import check_gradients, numeric_grad, rel_error
-from vocaldiff.tensor import (Tape, Tensor, _apply, add, backward, concat,
-                              conv1d, conv_transpose1d, group_norm, matmul,
-                              narrow, permute, reshape, silu, softmax,
-                              tensor_mean, tensor_sum, transpose)
+from vocaldiff.tensor import (Factored, Tape, Tensor, _apply, add, backward,
+                              concat, conv1d, conv_transpose1d, group_norm,
+                              matmul, mul, narrow, permute, reshape, silu,
+                              softmax, tensor_mean, tensor_sum, transpose)
 
 GRAD_TOL = 1e-4  # primitives, float64, eps 1e-3
 BATCH_TOL = 1e-12  # batched vs per-item calls, float64, relative
@@ -222,6 +222,18 @@ def test_backward_needs_scalar(rng):
         y = x * 2.0
         with pytest.raises(ContractError):
             backward(y)
+
+
+def test_a_tape_is_swept_once(rng):
+    # the sweep releases each rule, and the arrays it saved, once it has run
+    x = t64(rng, 3)
+    with Tape() as tape:
+        loss = tensor_sum(x * x)
+        grads = backward(loss)
+        assert len(tape) == 2
+        with pytest.raises(ContractError, match="swept already"):
+            backward(loss)
+    assert rel_error(grads[x.node_id].data, 2.0 * x.data) < 1e-12
 
 
 # ------------------------------------------------------------ tape rule
@@ -437,14 +449,17 @@ def test_numeric_grad_probes_selected_indices(rng):
 
 def _gradients_guarded(loss_fn, leaves):
     """Gradients of ``loss_fn()`` for ``leaves``; fails if the backward sweep
-    wrote into any array that a backward rule returned."""
+    wrote into any array that a backward rule returned, a ``Factored``
+    gradient's two factors included."""
     returned = []
 
     def watch(rule):
         def wrapped(g):
             gins = rule(g)
-            returned.extend((gin, gin.copy()) for gin in gins
-                            if gin is not None)
+            for gin in gins:
+                arrays = ((gin.a, gin.b) if isinstance(gin, Factored)
+                          else () if gin is None else (gin,))
+                returned.extend((a, a.copy()) for a in arrays)
             return gins
         return wrapped
 
@@ -514,3 +529,121 @@ def test_fan_in_keeps_the_promoted_dtype(rng):
         g = backward(loss)[x.node_id].data
     assert g.dtype == np.float64
     assert rel_error(g, y.data + 2.0 * x.data) < 1e-6
+
+    # so does a float32 Factored product meeting a float64 dense gradient
+    a = rng.standard_normal((5, 3)).astype(np.float32)
+    with Tape():
+        loss = (tensor_sum(x * y)
+                + tensor_sum(to_float64(matmul(Tensor(a), x))))
+        g = backward(loss)[x.node_id].data
+    assert g.dtype == np.float64
+    assert rel_error(g, y.data + a.sum(axis=0)[:, None]) < 1e-6
+
+
+def test_fan_in_of_factored_weight_gradients(rng):
+    # w gets two matmuls' Factored rows, one stack each, plus the dense
+    # gradient of the reshape a conv1d reads it through
+    w = t64(rng, 6, 4)
+    a1, a2 = Tensor(rng.standard_normal((5, 6))), Tensor(
+        rng.standard_normal((2, 3, 6)))
+    x, b = Tensor(rng.standard_normal((2, 9))), Tensor(rng.standard_normal(6))
+    m1, m2, m3 = (Tensor(rng.standard_normal(s))
+                  for s in ((5, 4), (2, 3, 4), (6, 8)))
+    _check_fan_in(lambda: tensor_sum(matmul(a1, w) * m1)
+                  + tensor_sum(matmul(a2, w) * m2)
+                  + tensor_sum(conv1d(x, reshape(w, (6, 2, 2)), b) * m3), w)
+
+    # conv1d (batched and not) and conv_transpose1d rows of one weight,
+    # each factor a strided view, stacked into one product
+    w = t64(rng, 3, 2, 3)
+    x1, x2 = Tensor(rng.standard_normal((2, 7))), Tensor(
+        rng.standard_normal((2, 2, 9)))
+    y = Tensor(rng.standard_normal((3, 5)))
+    b3, b2 = Tensor(rng.standard_normal(3)), Tensor(rng.standard_normal(2))
+    m1, m2, m3 = (Tensor(rng.standard_normal(s))
+                  for s in ((3, 5), (2, 3, 5), (2, 9)))
+    _check_fan_in(lambda: tensor_sum(conv1d(x1, w, b3) * m1)
+                  + tensor_sum(conv1d(x2, w, b3, stride=2, padding=1) * m2)
+                  + tensor_sum(conv_transpose1d(y, w, b2, stride=2,
+                                                padding=1) * m3), w)
+
+
+def test_fan_in_of_factored_and_dense_contributions(rng):
+    w = t64(rng, 4, 3)
+    a = Tensor(rng.standard_normal((5, 4)))
+    m = Tensor(rng.standard_normal((5, 3)))
+    m2 = Tensor(rng.standard_normal((4, 3)))
+    _check_fan_in(lambda: tensor_sum(w * w) + tensor_sum(matmul(a, w) * m),
+                  w)
+    # two dense contributions first summed in an array of the sweep's own
+    _check_fan_in(lambda: tensor_sum(matmul(a, w) * m) + tensor_sum(w * w)
+                  + tensor_sum(w * m2), w)
+
+
+def test_factored_gradient_into_an_inner_node(rng):
+    # mul(w, 2.0) has a record: its Factored gradient must be multiplied out
+    # when the sweep reaches it, then flow on to w
+    w, x = t64(rng, 4, 3), t64(rng, 2, 5, 4)
+    m = Tensor(rng.standard_normal((2, 5, 3)))
+    _check_fan_in(lambda: tensor_sum(matmul(x, mul(w, 2.0)) * m)
+                  + tensor_sum(x * x), w, x)
+
+
+def test_batched_conv_weight_gradient_is_the_sum_over_items(rng):
+    # one product over every item's rows equals the sum of the per-item
+    # gradients
+    for stride, pad, k in CONV_CASES:
+        for conv, w_shape in ((conv1d, (5, 3, k)),
+                              (conv_transpose1d, (3, 5, k))):
+            x = rng.standard_normal((3, 3, 11))
+            w, b = t64(rng, *w_shape), t64(rng, 5)
+            out_shape = conv(Tensor(x), w, b, stride=stride,
+                             padding=pad).shape
+            m = rng.standard_normal(out_shape)
+
+            def loss(xs, ms):
+                return tensor_sum(conv(Tensor(xs), w, b, stride=stride,
+                                       padding=pad) * Tensor(ms))
+
+            batched = _gradients_guarded(lambda: loss(x, m), [w])[0]
+            items = sum(_gradients_guarded(lambda: loss(xi, mi), [w])[0]
+                        for xi, mi in zip(x, m))
+            assert rel_error(batched, items) < BATCH_TOL, (conv, stride, k)
+            _check_fan_in(lambda: loss(x, m) + tensor_sum(w * w), w)
+
+
+def _group_norm_by_mean(x, groups, gamma, beta, g, eps=1e-5):
+    """group_norm's output and input gradient as computed with ndarray.mean
+    and ** 2, for the bitwise comparison below."""
+    grouped = x.shape[:-2] + (groups, -1)
+    xg = x.reshape(grouped)
+    mean = xg.mean(axis=-1, keepdims=True, dtype=np.float64)
+    var = ((xg.astype(np.float64) - mean) ** 2).mean(axis=-1, keepdims=True)
+    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    xhat = ((xg - mean.astype(x.dtype)) * inv_std).reshape(x.shape)
+    out = gamma[:, None] * xhat + beta[:, None]
+    dxhat = (g * gamma[:, None]).reshape(grouped)
+    xh = xhat.reshape(grouped)
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xh).mean(axis=-1, keepdims=True)
+    return out, (inv_std * (dxhat - m1 - xh * m2)).reshape(x.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_group_norm_statistics_match_ndarray_mean_bitwise(rng, dtype):
+    # .mean divides a float32 sum by an intp count (a float64 division
+    # rounded back to float32); group_norm divides by a Python int
+    for shape, groups in (((2, 8, 64), 4), ((2, 64, 8), 8),
+                          ((8, 512, 8), 8), ((8, 64, 64), 8)):
+        x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+        gamma, beta, g = (rng.standard_normal(s).astype(dtype)
+                          for s in (shape[-2], shape[-2], shape))
+        xt = Tensor(x, requires_grad=True)
+        with Tape():
+            out = group_norm(xt, groups, Tensor(gamma), Tensor(beta))
+            dx = backward(tensor_sum(out * Tensor(g)))[xt.node_id].data
+        want_out, want_dx = _group_norm_by_mean(x, groups, gamma, beta, g)
+        assert out.data.dtype == want_out.dtype == dtype
+        assert out.data.tobytes() == want_out.tobytes(), shape
+        assert dx.dtype == want_dx.dtype
+        assert dx.tobytes() == want_dx.tobytes(), shape
