@@ -24,8 +24,9 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError
 from .rng import ZEROS, init_params
 from .schedule import Schedule, mix_weight
-from .tensor import (Tensor, _apply, add, conv1d, matmul, mul, permute,
-                     reshape, softmax_rows, softmax_rows_grad, transpose)
+from .tensor import (Tensor, _apply, _strided_view, add, conv1d, matmul, mul,
+                     permute, reshape, softmax_rows, softmax_rows_grad,
+                     transpose)
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,8 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     kv = np.zeros(lead + (length + window - 1, 2 * d), qd.dtype)
     kv[..., -first:length - first, :d] = k.data
     kv[..., -first:length - first, d:] = v.data
-    strides = kv.strides[:-1] + kv.strides[-2:]
-    kv_win = np.lib.stride_tricks.as_strided(
-        kv, lead + (length, window, 2 * d), strides, writeable=False)
+    kv_win = _strided_view(kv, lead + (length, window, 2 * d),
+                           kv.strides[:-1] + kv.strides[-2:])
     kg, vg = kv_win[..., :d], kv_win[..., d:]
     scores = np.matmul(kg, qd[..., None])[..., 0] * scale
     attn = softmax_rows(np.where(valid, scores, -np.inf))
@@ -148,15 +148,21 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
         ds *= scale
         dq = np.matmul(ds[..., None, :], kg)[..., 0, :]
         # scatter the key and value gradients together into the padded
-        # layout, leading axes flattened so each (problem, row) owns one
-        # accumulator row; padding rows collect only zero weights
-        problems = math.prod(lead)
-        rows = np.arange(problems)[:, None, None] * kv.shape[-2] + span
-        contrib = np.concatenate((ds[..., None] * qd[..., None, :],
-                                  attn[..., None] * g[..., None, :]), axis=-1)
-        dkv = np.zeros((problems * kv.shape[-2], 2 * d), contrib.dtype)
-        np.add.at(dkv, rows.ravel(), contrib.reshape(-1, 2 * d))
-        dkv = dkv.reshape(kv.shape)[..., -first:length - first, :]
+        # layout, one window slot at a time: slot j of position i lands on
+        # padded row i + j.  The products are stored slot-major, so each
+        # slot's slice is contiguous; descending slots add each row's
+        # contributions in ascending position order.  Padding rows collect
+        # only zero weights
+        contrib = np.empty((window,) + qd.shape[:-1] + (2 * d,),
+                           np.result_type(ds, qd))
+        np.multiply(np.moveaxis(ds, -1, 0)[..., None], qd,
+                    out=contrib[..., :d])
+        np.multiply(np.moveaxis(attn, -1, 0)[..., None], g,
+                    out=contrib[..., d:])
+        dkv = np.zeros(kv.shape, contrib.dtype)
+        for j in reversed(range(window)):
+            dkv[..., j:j + length, :] += contrib[j]
+        dkv = dkv[..., -first:length - first, :]
         return dq, dkv[..., :d], dkv[..., d:]
 
     return _apply(out, (q, k, v), bwd)

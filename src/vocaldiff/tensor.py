@@ -27,6 +27,12 @@ left operand take optional leading batch axes in front of their 2-d
 (channels, length) or (rows, features) shape; the 2-d call is the case with
 none.  Parameter gradients sum over the batch axes: a factored weight
 gradient folds them into its rows, the other rules sum them.
+
+The convolutions' im2col matrices and ``attention.local_attention``'s key
+and value windows are read-only strided views of a padded buffer the op has
+just allocated, built by one helper, ``_strided_view``, with the
+``np.ndarray`` constructor rather than ``as_strided``; it refuses a base that
+is not C-contiguous.
 """
 
 from __future__ import annotations
@@ -374,15 +380,19 @@ def neg(a: Tensor) -> Tensor:
     return _apply(-a.data, (a,), lambda g: (-g,))
 
 
-def silu(x: Tensor) -> Tensor:
-    """Elementwise x * sigmoid(x)."""
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = x.data * sig
-    xd = x.data
+def _silu(xd: np.ndarray):
+    """x * sigmoid(x) of an array, and the backward rule ``silu`` records."""
+    sig = 1.0 / (1.0 + np.exp(-xd))
 
     def bwd(g):
         return (g * (sig * (1.0 + xd * (1.0 - sig))),)
 
+    return xd * sig, bwd
+
+
+def silu(x: Tensor) -> Tensor:
+    """Elementwise x * sigmoid(x)."""
+    out, bwd = _silu(x.data)
     return _apply(out, (x,), bwd)
 
 
@@ -501,12 +511,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply(np.dot(a2, bd).reshape(ad.shape[:-1] + (n,)), (a, b), bwd)
 
 
+def _strided_view(base: np.ndarray, shape: tuple,
+                  strides: tuple) -> np.ndarray:
+    """Read-only view of ``base`` with the given shape and byte strides.
+
+    Built with the ``np.ndarray`` constructor over base's buffer, which
+    costs a fraction of ``as_strided`` and checks that the view stays inside
+    the buffer.  The buffer protocol only serves contiguous arrays and the
+    strides assume C order, so base must be C-contiguous: every caller
+    passes a padded buffer it has just allocated.
+    """
+    if not base.flags.c_contiguous:
+        raise ContractError("a strided view needs a C-contiguous base array")
+    view = np.ndarray(shape, base.dtype, buffer=base, strides=strides)
+    view.setflags(write=False)
+    return view
+
+
 def _windows(xp: np.ndarray, k: int, stride: int, l_out: int) -> np.ndarray:
     """(..., C, K, L_out) read-only view of a padded (..., C, L) input:
     entry [..., c, j, i] is xp[..., c, i*stride + j]."""
-    return np.lib.stride_tricks.as_strided(
-        xp, xp.shape[:-1] + (k, l_out), xp.strides + (xp.strides[-1] * stride,),
-        writeable=False)
+    return _strided_view(xp, xp.shape[:-1] + (k, l_out),
+                         xp.strides + (xp.strides[-1] * stride,))
 
 
 def _columns(xp: np.ndarray, k: int, stride: int, l_out: int) -> np.ndarray:
@@ -516,9 +542,11 @@ def _columns(xp: np.ndarray, k: int, stride: int, l_out: int) -> np.ndarray:
 
 
 def _column_rows(xp: np.ndarray, k: int, stride: int, l_out: int):
-    """The im2col matrices transposed, as a view: (..., L_out, C, K) whose
-    row i (C*K entries) is column i of ``_columns``."""
-    return np.moveaxis(_windows(xp, k, stride, l_out), -1, -3)
+    """The im2col matrices transposed, as a read-only view: (..., L_out, C, K)
+    whose row i (C*K entries) is column i of ``_columns``."""
+    *lead, c_stride, step = xp.strides
+    return _strided_view(xp, xp.shape[:-2] + (l_out, xp.shape[-2], k),
+                         (*lead, step * stride, c_stride, step))
 
 
 def _overlap_add(cols: np.ndarray, k: int, stride: int, length: int):
@@ -643,11 +671,10 @@ def softmax(x: Tensor) -> Tensor:
     return _apply(y, (x,), lambda g: (softmax_rows_grad(y, g),))
 
 
-def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
-               eps: float = 1e-5) -> Tensor:
-    """GroupNorm over (..., C, L): normalize per group of each item (leading
-    axes batch items), affine per channel; dgamma and dbeta sum over the
-    batch."""
+def _group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
+                eps: float):
+    """``group_norm``'s checks and output array, and the backward rule it
+    records."""
     if x.data.ndim < 2:
         raise DimensionError(f"group_norm expects (..., C, L), got {x.shape}")
     c = x.shape[-2]
@@ -684,6 +711,15 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
         dx = (inv_std * (dxhat - m1 - xh * m2)).reshape(xhat.shape)
         return dx, dgamma, dbeta
 
+    return out, bwd
+
+
+def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
+               eps: float = 1e-5) -> Tensor:
+    """GroupNorm over (..., C, L): normalize per group of each item (leading
+    axes batch items), affine per channel; dgamma and dbeta sum over the
+    batch."""
+    out, bwd = _group_norm(x, groups, gamma, beta, eps)
     return _apply(out, (x, gamma, beta), bwd)
 
 

@@ -5,6 +5,11 @@ by width_mult for desk-scale runs.  Every stage is FiLM-conditioned on the
 timestep embedding plus the pooled vocal stream; the bottleneck applies the
 soft-alignment self-attention block and cross-attention onto the vocal
 token stream.  The network predicts v (same shape as its input).
+
+Each of the 22 modulated sites (two per residual block, one per resampling
+block) runs group_norm -> SiLU -> FiLM as one primitive, ``film``, with one
+tape record and a closed-form backward; ``group_norm`` and ``silu`` remain
+for the attention norms, the head, the vocal encoder and the time MLP.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from .attention import (AttentionConfig, attention_layout, merge_heads,
 from .errors import ConfigurationError, ContractError, DimensionError
 from .rng import ONES, ZEROS, init_params, substream
 from .schedule import Schedule
-from .tensor import (Factored, Tensor, _apply, _unbroadcast, add, concat,
-                     conv1d, conv_transpose1d, group_norm, matmul, reshape,
-                     silu, sub, tensor_mean, transpose)
+from .tensor import (Factored, Tensor, _apply, _group_norm, _silu,
+                     _unbroadcast, add, concat, conv1d, conv_transpose1d,
+                     group_norm, matmul, reshape, silu, sub, tensor_mean,
+                     transpose)
 
 
 def _scaled(ladder: tuple, width_mult: float) -> tuple:
@@ -140,15 +146,24 @@ def timestep_embedding(t: int, dim: int, params: ModelParams) -> Tensor:
     return reshape(h, (dim,))
 
 
-def film(x: Tensor, cond_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-channel affine modulation (1 + scale) * x + shift of x (..., C, L).
+def film(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
+         cond_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The modulated norm (1 + scale) * silu(group_norm(x)) + shift of x
+    (..., C, L).
 
-    scale and shift come from a learned linear map of cond_vec (..., d),
-    whose leading axes match x's; with w and b zero the op is the identity.
-    One primitive with a closed-form backward: the linear map is one GEMM
-    forward and one for the cond_vec gradient, with the batch folded into
-    the rows; the w gradient is returned ``Factored`` over those rows.
+    group_norm takes groups, gamma and beta.  scale and shift come from a
+    learned linear map of cond_vec (..., d), whose leading axes match x's
+    or are absent (one vector for every item): the FiLM modulation of Perez
+    et al. (arXiv:1709.07871).  With w and b zero the op is
+    silu(group_norm(x)).  One primitive: one tape record, and a closed-form
+    backward that chains film's rule, silu's and group_norm's, running the
+    numpy operations of those three taped primitives in their order, so the
+    output and all six gradients are bytewise the chain's.  The linear map is
+    one GEMM forward and one for the cond_vec gradient, with the batch
+    folded into the rows; the w gradient is returned ``Factored`` over those
+    rows.
     """
+    z, norm_bwd = _group_norm(x, groups, gamma, beta, 1e-5)
     c = x.shape[-2]
     lead, d = cond_vec.shape[:-1], cond_vec.shape[-1]
     if w.shape != (d, 2 * c) or b.shape != (2 * c,):
@@ -156,24 +171,27 @@ def film(x: Tensor, cond_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"film affine shapes {w.shape}/{b.shape} incompatible with "
             f"channels {c} and cond dim {d}"
         )
-    xd, wd = x.data, w.data
+    y, silu_bwd = _silu(z)
+    wd = w.data
     cond2 = cond_vec.data.reshape(-1, d)
     sb = (np.dot(cond2, wd) + b.data).reshape(lead + (2 * c, 1))
     scale1 = sb[..., :c, :] + np.asarray(1.0, sb.dtype)
-    out = xd * scale1 + sb[..., c:, :]
+    out = y * scale1 + sb[..., c:, :]
     half = scale1.shape
 
     def bwd(g):
-        dsb = np.concatenate([_unbroadcast(g * xd, half),
+        dsb = np.concatenate([_unbroadcast(g * y, half),
                               _unbroadcast(g, half)], axis=-2)
         # one (2c,) row per item, as the linear map produced them
         dsb2 = dsb.reshape(-1, 2 * c)
-        return (_unbroadcast(g * scale1, xd.shape),
+        dx, dgamma, dbeta = norm_bwd(*silu_bwd(_unbroadcast(g * scale1,
+                                                            y.shape)))
+        return (dx, dgamma, dbeta,
                 np.dot(dsb2, wd.T).reshape(lead + (d,)),
                 Factored(cond2, dsb2, wd.shape),
                 _unbroadcast(dsb2, (2 * c,)))
 
-    return _apply(out, (x, cond_vec, w, b), bwd)
+    return _apply(out, (x, gamma, beta, cond_vec, w, b), bwd)
 
 
 def encode_vocal(z_v, params: ModelParams):
@@ -360,28 +378,24 @@ def unet_forward(x_t, t: int, cond, params: ModelParams,
                     p["cond.pool_proj.w"]), p["cond.pool_proj.b"])
     cond_vec = add(temb, reshape(pp, pooled.shape))
 
+    def modulated(h, prefix, norm, mod):
+        return film(h, groups, p[prefix + norm + ".gamma"],
+                    p[prefix + norm + ".beta"], cond_vec,
+                    p[prefix + mod + ".w"], p[prefix + mod + ".b"])
+
     def res(h, prefix):
         # modulation sits between the nonlinearity and each conv; putting it
         # after the conv would let the next norm absorb it at small widths
-        y = group_norm(h, groups, p[prefix + "gn1.gamma"],
-                       p[prefix + "gn1.beta"])
-        y = silu(y)
-        y = film(y, cond_vec, p[prefix + "film1.w"], p[prefix + "film1.b"])
+        y = modulated(h, prefix, "gn1", "film1")
         y = conv1d(y, p[prefix + "conv1.w"], p[prefix + "conv1.b"], padding=1)
-        y = group_norm(y, groups, p[prefix + "gn2.gamma"],
-                       p[prefix + "gn2.beta"])
-        y = silu(y)
-        y = film(y, cond_vec, p[prefix + "film2.w"], p[prefix + "film2.b"])
+        y = modulated(y, prefix, "gn2", "film2")
         y = conv1d(y, p[prefix + "conv2.w"], p[prefix + "conv2.b"], padding=1)
         if prefix + "skip.w" in p:
             h = conv1d(h, p[prefix + "skip.w"], p[prefix + "skip.b"])
         return add(h, y)
 
     def resample(h, prefix, transposed):
-        y = group_norm(h, groups, p[prefix + "gn.gamma"],
-                       p[prefix + "gn.beta"])
-        y = silu(y)
-        y = film(y, cond_vec, p[prefix + "film.w"], p[prefix + "film.b"])
+        y = modulated(h, prefix, "gn", "film")
         if transposed:
             return conv_transpose1d(y, p[prefix + "conv.w"],
                                     p[prefix + "conv.b"], stride=2, padding=1)

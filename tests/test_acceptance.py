@@ -93,8 +93,12 @@ def test_criterion_1_gradient_suite(capsys, sched):
                                   axis=1), m34))
 
     fx, fc, fw, fb = T(3, 4), T(2), T(2, 6), T(6)
-    cases["film"] = ({"cv": fc, "w": fw, "b": fb},
-                     lambda: scalarized(film(fx, fc, fw, fb), m34))
+    # fixed norm affine: drawing it would shift every later draw
+    fg = Tensor(np.array([0.8, 1.1, 1.3]))
+    fbeta = Tensor(np.array([-0.2, 0.1, 0.3]))
+    cases["film"] = ({"gamma": fg, "beta": fbeta, "cv": fc, "w": fw, "b": fb},
+                     lambda: scalarized(film(fx, 3, fg, fbeta, fc, fw, fb),
+                                        m34))
 
     lq, lk, lv = T(9, 4), T(9, 4), T(9, 4)
     cases["local_attention"] = (

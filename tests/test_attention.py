@@ -20,7 +20,8 @@ from vocaldiff.attention import scaled_dot_attention
 from vocaldiff.errors import ConfigurationError, DimensionError
 from vocaldiff.gradcheck import check_gradients
 from vocaldiff.rng import substream
-from vocaldiff.tensor import Tensor, tensor_sum
+from vocaldiff.tensor import (Tape, Tensor, backward, mul, softmax_rows,
+                              softmax_rows_grad, tensor_sum)
 from vocaldiff.unet import cross_attention
 
 
@@ -419,6 +420,54 @@ def test_grad_local_attention():
             lambda: tensor_sum(local_attention(q, k, v, 5) * m),
             {"q": q, "k": k, "v": v})
         assert max(errs.values()) < 1e-4, shape
+
+
+def local_kv_grads_by_add_at(q, k, v, g, window):
+    """Key and value gradients of local_attention for output gradient g,
+    scattered with np.add.at over the flattened positions: the reference
+    for the slot-by-slot scatter's summation order."""
+    lead, (length, d) = q.shape[:-2], q.shape[-2:]
+    first = -(math.ceil(window / 2) - 1)
+    span = np.arange(length)[:, None] + np.arange(window)[None, :]
+    valid = (span >= -first) & (span < length - first)
+    scale = 1.0 / math.sqrt(d)
+    kv = np.zeros(lead + (length + window - 1, 2 * d), q.dtype)
+    kv[..., -first:length - first, :d] = k
+    kv[..., -first:length - first, d:] = v
+    kv_win = np.lib.stride_tricks.as_strided(
+        kv, lead + (length, window, 2 * d),
+        kv.strides[:-1] + kv.strides[-2:], writeable=False)
+    kg, vg = kv_win[..., :d], kv_win[..., d:]
+    scores = np.matmul(kg, q[..., None])[..., 0] * scale
+    attn = softmax_rows(np.where(valid, scores, -np.inf))
+    ds = softmax_rows_grad(attn, np.matmul(vg, g[..., None])[..., 0])
+    ds *= scale
+    problems = math.prod(lead)
+    rows = np.arange(problems)[:, None, None] * kv.shape[-2] + span
+    contrib = np.concatenate((ds[..., None] * q[..., None, :],
+                              attn[..., None] * g[..., None, :]), axis=-1)
+    dkv = np.zeros((problems * kv.shape[-2], 2 * d), contrib.dtype)
+    np.add.at(dkv, rows.ravel(), contrib.reshape(-1, 2 * d))
+    dkv = dkv.reshape(kv.shape)[..., -first:length - first, :]
+    return dkv[..., :d], dkv[..., d:]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, window", [((8, 8, 8), 16), ((8, 8, 64), 16),
+                                           ((2, 3, 9, 4), 5), ((7, 2), 1),
+                                           ((2, 40, 6), 8)])
+def test_local_attention_scatter_matches_add_at_bitwise(shape, window, dtype):
+    rng = np.random.default_rng(17)
+    q, k, v, g = (rng.standard_normal(shape).astype(dtype) for _ in range(4))
+    kt, vt = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
+    with Tape():
+        out = local_attention(Tensor(q), kt, vt, window)
+        grads = backward(tensor_sum(mul(out, Tensor(g))))
+    want_dk, want_dv = local_kv_grads_by_add_at(q, k, v, g, window)
+    for got, want in ((grads[kt.node_id].data, want_dk),
+                      (grads[vt.node_id].data, want_dv)):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_grad_global_attention():

@@ -4,6 +4,7 @@ against central finite differences in float64."""
 import numpy as np
 import pytest
 
+from vocaldiff import tensor as tensor_module
 from vocaldiff.errors import ContractError, DimensionError
 from vocaldiff.gradcheck import check_gradients, numeric_grad, rel_error
 from vocaldiff.tensor import (Factored, Tape, Tensor, _apply, add, backward,
@@ -647,3 +648,57 @@ def test_group_norm_statistics_match_ndarray_mean_bitwise(rng, dtype):
         assert out.data.tobytes() == want_out.tobytes(), shape
         assert dx.dtype == want_dx.dtype
         assert dx.tobytes() == want_dx.tobytes(), shape
+
+
+def _as_strided_windows(xp, k, stride, l_out):
+    """The reference window view: ``as_strided`` over the padded input."""
+    return np.lib.stride_tricks.as_strided(
+        xp, xp.shape[:-1] + (k, l_out),
+        xp.strides + (xp.strides[-1] * stride,), writeable=False)
+
+
+# (lead, C, padded length, K, stride, L_out): conv1d at stride 1 and 2,
+# unbatched and batched, and conv_transpose1d's padded gradient (length
+# (L - 1) * stride + K, read at L positions)
+VIEW_CASES = [((), 3, 10, 3, 1, 8), ((2,), 3, 10, 3, 1, 8),
+              ((), 4, 10, 4, 2, 4), ((2, 3), 4, 10, 4, 2, 4),
+              ((2,), 2, 2 * 5 + 4, 4, 2, 6)]
+
+
+@pytest.mark.parametrize("lead, c, length, k, stride, l_out", VIEW_CASES)
+def test_window_views_match_as_strided(rng, lead, c, length, k, stride,
+                                       l_out):
+    xp = rng.standard_normal(lead + (c, length)).astype(np.float32)
+    want = _as_strided_windows(xp, k, stride, l_out)
+    windows = tensor_module._windows(xp, k, stride, l_out)
+    rows = tensor_module._column_rows(xp, k, stride, l_out)
+    assert windows.shape == want.shape and np.array_equal(windows, want)
+    want_rows = np.moveaxis(want, -1, -3)
+    assert rows.shape == want_rows.shape and np.array_equal(rows, want_rows)
+    assert np.array_equal(tensor_module._columns(xp, k, stride, l_out),
+                          want.reshape(lead + (c * k, l_out)))
+    for view in (windows, rows):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[(0,) * view.ndim] = 1.0
+
+
+def test_local_window_view_matches_as_strided(rng):
+    # local_attention's key/value windows: row i, slot j is padded row i + j
+    lead, length, window, width = (2, 3), 5, 4, 6
+    kv = rng.standard_normal(lead + (length + window - 1, width))
+    shape = lead + (length, window, width)
+    strides = kv.strides[:-1] + kv.strides[-2:]
+    view = tensor_module._strided_view(kv, shape, strides)
+    want = np.lib.stride_tricks.as_strided(kv, shape, strides)
+    assert np.array_equal(view, want)
+    assert not view.flags.writeable
+
+
+def test_strided_view_needs_a_contiguous_base(rng):
+    xp = rng.standard_normal((4, 12))
+    for base in (xp[:, ::2], xp[:, 1:], xp.T, np.asfortranarray(xp)):
+        with pytest.raises(ContractError):
+            tensor_module._windows(base, 3, 1, 4)
+        with pytest.raises(ContractError):
+            tensor_module._column_rows(base, 3, 1, 4)

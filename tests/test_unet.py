@@ -10,10 +10,11 @@ import pytest
 from vocaldiff import (ModelParams, UNetConfig, encode_vocal, film,
                        init_model_params, param_breakdown, param_layout,
                        sinusoidal_embedding, timestep_embedding, unet_forward)
+from vocaldiff import unet as unet_module
 from vocaldiff.errors import ConfigurationError, ContractError, DimensionError
 from vocaldiff.gradcheck import check_gradients
-from vocaldiff.tensor import (Tape, Tensor, add, backward, matmul, mul,
-                             narrow, reshape, tensor_sum)
+from vocaldiff.tensor import (Tape, Tensor, add, backward, group_norm, matmul,
+                              mul, narrow, reshape, silu, tensor_sum)
 from vocaldiff.unet import stack_conds
 
 
@@ -239,66 +240,101 @@ def test_model_params_rejects_non_tensor(tiny_cfg):
 
 # ----------------------------------------------------------- modules
 
+GROUPS = 3
+
+
+def film_inputs(rng, lead=(), cond_lead=None, c=6, length=10, d=4,
+                dtype=np.float64, scale=1.0):
+    """(x, gamma, beta, cond_vec, w, b) arrays for a film call with
+    GROUPS groups; cond_lead defaults to x's leading axes."""
+    cond_lead = lead if cond_lead is None else cond_lead
+
+    def draw(shape, s=1.0):
+        return (rng.standard_normal(shape) * s).astype(dtype)
+
+    return [draw(lead + (c, length)), 1.0 + draw(c, 0.3), draw(c, 0.3),
+            draw(cond_lead + (d,)), draw((d, 2 * c), scale),
+            draw(2 * c, scale)]
+
+
 def test_film_zero_affine_is_identity():
+    """With a zero generator the modulation is the identity, so film is
+    silu(group_norm(x))."""
     rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal((6, 10)).astype(np.float32))
-    cv = Tensor(rng.standard_normal(4).astype(np.float32))
-    w = Tensor(np.zeros((4, 12), np.float32))
-    b = Tensor(np.zeros(12, np.float32))
-    assert np.array_equal(film(x, cv, w, b).data, x.data)
+    x, gamma, beta, cv, w, b = (Tensor(a) for a in film_inputs(
+        rng, dtype=np.float32))
+    zeros = [Tensor(np.zeros_like(t.data)) for t in (w, b)]
+    out = film(x, GROUPS, gamma, beta, cv, *zeros).data
+    want = silu(group_norm(x, GROUPS, gamma, beta)).data
+    assert out.dtype == np.float32
+    assert out.tobytes() == want.tobytes()
 
 
 def test_film_shift_offsets_channels():
+    # a zero input normalizes to zero and silu(0) = 0, so only the shift
+    # half of the generator's bias reaches the output
     x = Tensor(np.zeros((3, 5)))
+    ones, zeros = Tensor(np.ones(3)), Tensor(np.zeros(3))
     cv = Tensor(np.zeros(2))
     w = Tensor(np.zeros((2, 6)))
     b = Tensor(np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0]))
-    out = film(x, cv, w, b).data
+    out = film(x, 3, ones, zeros, cv, w, b).data
     assert np.array_equal(out, np.array([1.0, 2.0, 3.0])[:, None]
                           * np.ones((1, 5)))
 
 
 def test_film_batch_equals_per_item_calls():
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((2, 6, 10))
-    cv = rng.standard_normal((2, 4))
-    w = Tensor(rng.standard_normal((4, 12)))
-    b = Tensor(rng.standard_normal(12))
-    out = film(Tensor(x), Tensor(cv), w, b).data
-    want = np.stack([film(Tensor(xi), Tensor(ci), w, b).data
-                     for xi, ci in zip(x, cv)])
+    x, gamma, beta, cv, w, b = film_inputs(rng, lead=(2,))
+    shared = [Tensor(a) for a in (gamma, beta)]
+    affine = [Tensor(w), Tensor(b)]
+    out = film(Tensor(x), GROUPS, *shared, Tensor(cv), *affine).data
+    want = np.stack([film(Tensor(xi), GROUPS, *shared, Tensor(ci),
+                          *affine).data for xi, ci in zip(x, cv)])
     assert out.shape == want.shape
     assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_film_validates_affine_shapes():
     x = Tensor(np.zeros((3, 5)))
+    ones, zeros = Tensor(np.ones(3)), Tensor(np.zeros(3))
     cv = Tensor(np.zeros(2))
+    w, b = Tensor(np.zeros((2, 6))), Tensor(np.zeros(6))
     with pytest.raises(ConfigurationError):
-        film(x, cv, Tensor(np.zeros((2, 5))), Tensor(np.zeros(6)))
+        film(x, 3, ones, zeros, cv, Tensor(np.zeros((2, 5))), b)
     with pytest.raises(ConfigurationError):
-        film(x, cv, Tensor(np.zeros((2, 6))), Tensor(np.zeros(5)))
+        film(x, 3, ones, zeros, cv, w, Tensor(np.zeros(5)))
+    with pytest.raises(DimensionError):
+        film(x, 3, Tensor(np.ones(4)), zeros, cv, w, b)
+    with pytest.raises(DimensionError):
+        film(x, 3, ones, Tensor(np.zeros(2)), cv, w, b)
+    with pytest.raises(ConfigurationError):
+        film(x, 2, ones, zeros, cv, w, b)
+    with pytest.raises(DimensionError):
+        film(Tensor(np.zeros(5)), 1, Tensor(np.ones(1)), Tensor(np.zeros(1)),
+             cv, Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
 
 def test_film_gradients():
     rng = np.random.default_rng(6)
-    for lead in ((), (2,)):
-        m = Tensor(rng.standard_normal(lead + (3, 4)))
-        params = {
-            "x": Tensor(rng.standard_normal(lead + (3, 4))),
-            "w": Tensor(rng.standard_normal((2, 6)) * 0.3),
-            "b": Tensor(rng.standard_normal(6) * 0.3),
-            "cv": Tensor(rng.standard_normal(lead + (2,))),
-        }
+    names = ("x", "gamma", "beta", "cv", "w", "b")
+    # unbatched, batched, and one cond vector shared by a batch
+    for lead, cond_lead in (((), ()), ((2,), (2,)), ((2,), ())):
+        params = {n: Tensor(a) for n, a in zip(
+            names, film_inputs(rng, lead, cond_lead, c=6, length=4, d=2,
+                               scale=0.3))}
+        m = Tensor(rng.standard_normal(lead + (6, 4)))
         errors = check_gradients(
-            lambda: tensor_sum(mul(film(params["x"], params["cv"],
-                                        params["w"], params["b"]), m)),
+            lambda: tensor_sum(mul(film(params["x"], GROUPS,
+                                        *(params[n] for n in names[1:])),
+                                   m)),
             params)
-        assert max(errors.values()) < 1e-5, (lead, errors)
+        assert set(errors) == set(names)
+        assert max(errors.values()) < 1e-5, (lead, cond_lead, errors)
 
 
 def film_composed(x, cond_vec, w, b):
-    """FiLM as the composition of tape primitives it replaces."""
+    """FiLM's modulation as a composition of tape primitives."""
     c = x.shape[-2]
     lead, d = cond_vec.shape[:-1], cond_vec.shape[-1]
     sb = add(matmul(reshape(cond_vec, lead + (1, d)), w), b)
@@ -308,36 +344,69 @@ def film_composed(x, cond_vec, w, b):
     return add(mul(x, add(scale, 1.0)), shift)
 
 
+def film_chain(x, groups, gamma, beta, cond_vec, w, b):
+    """The modulated norm as the chain of taped primitives film fuses."""
+    return film_composed(silu(group_norm(x, groups, gamma, beta)),
+                         cond_vec, w, b)
+
+
 # the last case is the unconditional batch: one null vector for every item
 @pytest.mark.parametrize("lead, cond_lead", [((), ()), ((2,), (2,)),
                                              ((2,), ())],
                          ids=["unbatched", "batched", "shared-cond"])
 def test_film_matches_its_composition_bitwise(lead, cond_lead):
+    """film against film_chain: output and all six gradients bytewise."""
     rng = np.random.default_rng(11)
-    c, length, d = 6, 10, 4
+    for dtype in (np.float32, np.float64):
+        arrays = film_inputs(rng, lead, cond_lead, dtype=dtype, scale=0.5)
+        m = Tensor(rng.standard_normal(arrays[0].shape).astype(dtype))
+        results = []
+        for fn in (film, film_chain):
+            inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            with Tape() as tape:
+                out = fn(inputs[0], GROUPS, *inputs[1:])
+                records = len(tape)
+                grads = backward(tensor_sum(mul(out, m)))
+            results.append((out.data,
+                            [grads[t.node_id].data for t in inputs]))
+            if fn is film:
+                assert records == 1
+        (out, grads), (want, want_grads) = results
+        assert out.dtype == dtype
+        assert out.tobytes() == want.tobytes()
+        assert len(grads) == 6
+        for g, want_g in zip(grads, want_grads):
+            assert g.shape == want_g.shape and g.dtype == want_g.dtype
+            assert g.tobytes() == want_g.tobytes(), dtype
 
-    def draw(shape):
-        return rng.standard_normal(shape).astype(np.float32)
 
-    arrays = [draw(lead + (c, length)), draw(cond_lead + (d,)),
-              draw((d, 2 * c)), draw(2 * c)]
-    m = Tensor(draw(lead + (c, length)))
-    results = []
-    for fn in (film, film_composed):
-        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        with Tape() as tape:
-            out = fn(*inputs)
-            records = len(tape)
-            grads = backward(tensor_sum(mul(out, m)))
-        results.append((out.data, [grads[t.node_id].data for t in inputs]))
-        if fn is film:
-            assert records == 1
-    (out, grads), (want, want_grads) = results
-    assert out.dtype == np.float32
-    assert out.tobytes() == want.tobytes()
-    for g, want_g in zip(grads, want_grads):
-        assert g.shape == want_g.shape and g.dtype == want_g.dtype
-        assert g.tobytes() == want_g.tobytes()
+def test_forward_records_22_film_and_3_group_norm_ops(monkeypatch, sched,
+                                                       tiny_cfg, live_params):
+    """Every modulated site is one film record; group_norm is left to the
+    attention and cross-attention norms and the head, silu to the head and
+    the time MLP."""
+    rng = np.random.default_rng(4)
+    x, _, cond = make_inputs(rng, 16, tiny_cfg, live_params)
+    leaves = {n: Tensor(t.data, requires_grad=True)
+              for n, t in live_params.items()}
+    params = ModelParams(tiny_cfg, leaves)
+    recorded = {"film": 0, "group_norm": 0, "silu": 0}
+
+    def counting(name):
+        original = getattr(unet_module, name)
+
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            recorded[name] += out._tape is not None
+            return out
+
+        return wrapper
+
+    for name in recorded:
+        monkeypatch.setattr(unet_module, name, counting(name))
+    with Tape():
+        unet_forward(x, 100, cond, params, sched)
+    assert recorded == {"film": 22, "group_norm": 3, "silu": 2}
 
 
 def test_encode_vocal_shapes_and_pooling(tiny_cfg, live_params):
